@@ -2,7 +2,7 @@
 
 from .core import (CuspidalLabel, HalfInt, Multisegment, Segment, mw_dual,
                    parse_multisegment, segment_elements, support)
-from .groth import (GrothExpr, LadderAtom, SegmentAtom, gl_multisegment,
+from .groth import (Atom, GrothExpr, SegmentAtom, gl_multisegment,
                     induce, jac_left, jac_right, jac_theta, jac_theta_seq,
                     ladder_atom, total_size)
 from .ladders import (Ladder, ladder_multisegment, peel_left, peel_right,

@@ -238,8 +238,17 @@ def cmd_verify(args) -> int:
     return OK if report["all_vanish"] else BAD_IDENTITY
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: exit 1 instead of argparse's 2, which
+    here means a failed identity.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="multiseg",
         description="Segment combinatorics for twisted general linear groups",
     )
@@ -261,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("jacquet", cmd_jacquet, help="Jacquet projection of the resolution")
     p.add_argument("file")
     p.add_argument("--rho", required=True)
-    p.add_argument("--x", required=True)
+    p.add_argument("--x", required=True,
+                   help="point such as 3/2; write a negative point as --x=-1/2")
     p.add_argument("--theta", action="store_true")
     p = add("dominate", cmd_dominate, help="discrete-diagonal dominating parameter")
     p.add_argument("file")

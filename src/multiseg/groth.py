@@ -1,10 +1,11 @@
 """Formal integer combinations of induced words, with the Jacquet engine.
 
-A word is an ordered list of atoms (oriented segment socles and ladder
-atoms).  Words are identified up to commutation of adjacent atoms whose
-supports are everywhere at distance >= 2 for a shared label; the canonical
-representative is the lexicographically least word of the commutation class.
-Jac_x acts by the Leibniz rule over word factors.
+A word is an ordered list of atoms: ladders over one cuspidal label, a
+one-row ladder being an oriented segment socle.  Words are identified up to
+commutation of adjacent atoms whose supports are everywhere at distance
+>= 2 for a shared label; the canonical representative is the
+lexicographically least word of the commutation class.  Jac_x acts by the
+Leibniz rule over word factors.
 """
 
 from __future__ import annotations
@@ -12,89 +13,60 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import CuspidalLabel, HalfInt, Multisegment, Segment
-from .ladders import Ladder, peel_left, peel_right
+from .ladders import Ladder, peel_rows
 
 
 @dataclass(frozen=True, slots=True)
-class SegmentAtom:
-    """Socle <rho||^start, ..., rho||^end>; orientation is meaningful."""
+class Atom:
+    """Ladder factor: oriented rows as doubled (start, end) pairs in ladder
+    order (descending start).  One row is the socle <rho||^start, ...,
+    rho||^end>; orientation is meaningful."""
 
     rho: CuspidalLabel
-    start: HalfInt
-    end: HalfInt
+    rows: tuple[tuple[int, int], ...]
 
     @property
     def size(self) -> int:
-        return (abs(self.start.twice - self.end.twice) // 2 + 1) * self.rho.d
-
-    def support(self) -> frozenset[int]:
-        lo = min(self.start.twice, self.end.twice)
-        hi = max(self.start.twice, self.end.twice)
-        return frozenset(range(lo, hi + 1, 2))
+        return sum(abs(s - e) // 2 + 1 for s, e in self.rows) * self.rho.d
 
     def sort_key(self):
-        return (self.rho.name, 0, (self.start.twice, self.end.twice))
+        return (self.rho.name, len(self.rows) > 1, self.rows)
 
     def to_json(self):
-        return {"type": "segment", "rho": self.rho.name,
-                "start": str(self.start), "end": str(self.end)}
-
-    def __str__(self) -> str:
-        return f"[{self.start}..{self.end}]{self.rho.name}"
-
-
-@dataclass(frozen=True, slots=True)
-class LadderAtom:
-    """Multi-row ladder factor; rows are oriented segments sorted by start."""
-
-    rho: CuspidalLabel
-    rows: tuple[tuple[HalfInt, HalfInt], ...]
-
-    @property
-    def size(self) -> int:
-        return sum(abs(s.twice - e.twice) // 2 + 1 for s, e in self.rows) * self.rho.d
-
-    def support(self) -> frozenset[int]:
-        pts = set()
-        for s, e in self.rows:
-            lo, hi = min(s.twice, e.twice), max(s.twice, e.twice)
-            pts.update(range(lo, hi + 1, 2))
-        return frozenset(pts)
-
-    def sort_key(self):
-        return (self.rho.name, 1, tuple((s.twice, e.twice) for s, e in self.rows))
-
-    def to_json(self):
+        if len(self.rows) == 1:
+            s, e = self.rows[0]
+            return {"type": "segment", "rho": self.rho.name,
+                    "start": str(HalfInt(s)), "end": str(HalfInt(e))}
         return {"type": "ladder", "rho": self.rho.name,
-                "rows": [[str(s), str(e)] for s, e in self.rows]}
+                "rows": [[str(HalfInt(s)), str(HalfInt(e))] for s, e in self.rows]}
 
     def __str__(self) -> str:
-        body = ",".join(f"[{s}..{e}]" for s, e in self.rows)
+        body = ",".join(f"[{HalfInt(s)}..{HalfInt(e)}]" for s, e in self.rows)
+        if len(self.rows) == 1:
+            return body + self.rho.name
         return f"L({body}){self.rho.name}"
 
 
-Atom = SegmentAtom | LadderAtom
+def SegmentAtom(rho: CuspidalLabel, start: HalfInt, end: HalfInt) -> Atom:
+    """One-row atom for the segment [start..end]."""
+    return Atom(rho, ((start.twice, end.twice),))
 
 
 def ladder_atom(lad: Ladder) -> Atom:
-    """Atom for a ladder; single rows collapse to plain segment atoms."""
-    if len(lad.rows) == 1:
-        r = lad.rows[0]
-        return SegmentAtom(r.rho, r.start, r.end)
-    return LadderAtom(lad.rho, tuple((r.start, r.end) for r in lad.rows))
-
-
-def atom_ladder(atom: Atom) -> Ladder:
-    if isinstance(atom, SegmentAtom):
-        return Ladder(atom.rho, (Segment(atom.rho, atom.start, atom.end),))
-    return Ladder(atom.rho, tuple(Segment(atom.rho, s, e) for s, e in atom.rows))
+    return Atom(lad.rho, lad.pairs)
 
 
 def _commute(a: Atom, b: Atom) -> bool:
+    """True unless the labels agree and two rows in one coset of Z come
+    within distance 1 of each other (doubled: a gap of at most 2)."""
     if a.rho != b.rho:
         return True
-    sa, sb = a.support(), b.support()
-    return all(x - 2 not in sb and x not in sb and x + 2 not in sb for x in sa)
+    for s, e in a.rows:
+        lo, hi = min(s, e), max(s, e)
+        for s2, e2 in b.rows:
+            if (s - s2) % 2 == 0 and min(s2, e2) <= hi + 2 and lo <= max(s2, e2) + 2:
+                return False
+    return True
 
 
 def canonical_word(atoms) -> tuple[Atom, ...]:
@@ -118,7 +90,7 @@ def total_size(word: tuple[Atom, ...]) -> int:
 def gl_multisegment(word: tuple[Atom, ...]) -> Multisegment:
     segs = []
     for a in word:
-        segs.extend(atom_ladder(a).rows)
+        segs.extend(Segment(a.rho, HalfInt(s), HalfInt(e)) for s, e in a.rows)
     return Multisegment(segs)
 
 
@@ -222,51 +194,16 @@ def induce(parts) -> GrothExpr:
     return GrothExpr(acc)
 
 
-def _peel_atom_left(atom: Atom, rho: CuspidalLabel, x: HalfInt):
-    # -> None (zero), () (atom vanishes), or replacement atom
-    if atom.rho != rho:
-        return None
-    if isinstance(atom, SegmentAtom):
-        if atom.start != x:
-            return None
-        if atom.start == atom.end:
-            return ()
-        step = -1 if atom.start >= atom.end else 1
-        return SegmentAtom(rho, HalfInt(atom.start.twice + 2 * step), atom.end)
-    lad = peel_left(x, atom_ladder(atom))
-    if lad is None:
-        return None
-    if not lad.rows:
-        return ()
-    return ladder_atom(lad)
-
-
-def _peel_atom_right(atom: Atom, rho: CuspidalLabel, x: HalfInt):
-    if atom.rho != rho:
-        return None
-    if isinstance(atom, SegmentAtom):
-        if atom.end != x:
-            return None
-        if atom.start == atom.end:
-            return ()
-        step = -1 if atom.start >= atom.end else 1
-        return SegmentAtom(rho, atom.start, HalfInt(atom.end.twice - 2 * step))
-    lad = peel_right(x, atom_ladder(atom))
-    if lad is None:
-        return None
-    if not lad.rows:
-        return ()
-    return ladder_atom(lad)
-
-
-def _jac(peel, rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
+def _jac(left: bool, rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
     acc: dict[tuple[Atom, ...], int] = {}
     for word, c in e.terms.items():
         for i, atom in enumerate(word):
-            res = peel(atom, rho, x)
-            if res is None:
+            if atom.rho != rho:
                 continue
-            w = word[:i] + ((res,) if res != () else ()) + word[i + 1:]
+            rows = peel_rows(atom.rows, x.twice, left)
+            if rows is None:
+                continue
+            w = word[:i] + ((Atom(atom.rho, rows),) if rows else ()) + word[i + 1:]
             w = canonical_word(w)
             acc[w] = acc.get(w, 0) + c
             if acc[w] == 0:
@@ -276,11 +213,11 @@ def _jac(peel, rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
 
 def jac_left(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
     """Leibniz sum of left peels at rho||^x over all word factors."""
-    return _jac(_peel_atom_left, rho, HalfInt.of(x), e)
+    return _jac(True, rho, HalfInt.of(x), e)
 
 
 def jac_right(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
-    return _jac(_peel_atom_right, rho, HalfInt.of(x), e)
+    return _jac(False, rho, HalfInt.of(x), e)
 
 
 def jac_theta(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:

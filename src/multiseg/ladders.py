@@ -8,30 +8,44 @@ zeta=-.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import HalfInt, Multisegment, Segment
 from .params import Quad
 
 
-def _is_ladder(rows: tuple[Segment, ...]) -> bool:
-    starts = [r.start for r in rows]
-    ends = [r.end for r in rows]
-    if len(set(starts)) != len(rows) or len(set(ends)) != len(rows):
-        return False
-    order = sorted(range(len(rows)), key=lambda i: starts[i].twice, reverse=True)
-    return all(
-        ends[order[i]] > ends[order[i + 1]] for i in range(len(rows) - 1)
-    )
+def _is_ladder(rows) -> bool:
+    """Ladder condition on (start, end) pairs sorted by descending start."""
+    return all(s > s2 and e > e2 for (s, e), (s2, e2) in zip(rows, rows[1:]))
+
+
+def peel_rows(rows, x: int, left: bool):
+    """Single-point peel of ladder rows given as doubled (start, end) pairs in
+    ladder order: drop the first element of the row starting at x (left) or
+    the last element of the row ending at x.  None if no row starts (ends)
+    at x or the result breaks the ladder condition."""
+    for i, (s, e) in enumerate(rows):
+        if (s if left else e) == x:
+            break
+    else:
+        return None
+    step = 2 if e > s else -2
+    if s == e:
+        row = ()
+    elif left:
+        row = ((s + step, e),)
+    else:
+        row = ((s, e - step),)
+    out = tuple(sorted(rows[:i] + row + rows[i + 1:], reverse=True))
+    return out if _is_ladder(out) else None
 
 
 @dataclass(frozen=True, slots=True)
 class Ladder:
-    """Rows sorted by descending start; origin quad kept as a tag only."""
+    """Rows sorted by descending start."""
 
     rho: object
     rows: tuple[Segment, ...]
-    origin: Quad | None = field(default=None, compare=False)
 
     def __post_init__(self):
         rows = tuple(
@@ -40,8 +54,13 @@ class Ladder:
         object.__setattr__(self, "rows", rows)
         if any(r.rho != self.rho for r in rows):
             raise ValueError("ladder rows must share the ladder's label")
-        if not _is_ladder(rows):
+        if not _is_ladder(self.pairs):
             raise ValueError(f"rows do not satisfy the ladder condition: {list(map(str, rows))}")
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Rows as doubled (start, end) pairs."""
+        return tuple((r.start.twice, r.end.twice) for r in self.rows)
 
     def multisegment(self) -> Multisegment:
         return Multisegment(self.rows)
@@ -61,7 +80,7 @@ def ladder_multisegment(q: Quad) -> Ladder:
         start = (q.B + HalfInt.of(k)) * q.zeta
         end = -((q.A - HalfInt.of(k)) * q.zeta)
         rows.append(Segment(q.rho, start, end))
-    return Ladder(q.rho, tuple(rows), origin=q)
+    return Ladder(q.rho, tuple(rows))
 
 
 def tableau_cols(q: Quad) -> Multisegment:
@@ -74,41 +93,22 @@ def tableau_cols(q: Quad) -> Multisegment:
     return Multisegment(cols)
 
 
+def _peel(x: HalfInt, lad: Ladder, left: bool) -> Ladder | None:
+    rows = peel_rows(lad.pairs, x.twice, left)
+    if rows is None:
+        return None
+    return Ladder(lad.rho, tuple(Segment(lad.rho, HalfInt(s), HalfInt(e)) for s, e in rows))
+
+
 def peel_left(x: HalfInt, lad: Ladder) -> Ladder | None:
     """Drop the first element of the unique row starting at x; None if that
     kills the ladder condition or no row starts at x."""
-    hit = [i for i, r in enumerate(lad.rows) if r.start == x]
-    if not hit:
-        return None
-    i = hit[0]
-    row = lad.rows[i]
-    rows = list(lad.rows)
-    if row.length == 1:
-        rows.pop(i)
-    else:
-        rows[i] = Segment(row.rho, HalfInt(row.start.twice + 2 * row.step), row.end)
-    rows = tuple(rows)
-    if not _is_ladder(rows):
-        return None
-    return Ladder(lad.rho, rows, origin=lad.origin)
+    return _peel(x, lad, True)
 
 
 def peel_right(x: HalfInt, lad: Ladder) -> Ladder | None:
     """Mirror of peel_left: drop the last element of the unique row ending at x."""
-    hit = [i for i, r in enumerate(lad.rows) if r.end == x]
-    if not hit:
-        return None
-    i = hit[0]
-    row = lad.rows[i]
-    rows = list(lad.rows)
-    if row.length == 1:
-        rows.pop(i)
-    else:
-        rows[i] = Segment(row.rho, row.start, HalfInt(row.end.twice - 2 * row.step))
-    rows = tuple(rows)
-    if not _is_ladder(rows):
-        return None
-    return Ladder(lad.rho, rows, origin=lad.origin)
+    return _peel(x, lad, False)
 
 
 def trunc_ladder(q: Quad, C: HalfInt) -> Ladder:
@@ -119,22 +119,17 @@ def trunc_ladder(q: Quad, C: HalfInt) -> Ladder:
     C = B+1 returns the base tableau unchanged.
     """
     C = HalfInt.of(C)
-    two = HalfInt.of(2)
-    base_B = q.B + two
-    if q.A < base_B:
+    if q.A < q.B + 2:
         raise ValueError(f"trunc_ladder needs A >= B+2, got {q}")
     if not (q.B < C <= q.A):
         raise ValueError(f"C={C} outside ]B, A] for {q}")
-    lad = ladder_multisegment(Quad(q.rho, q.A, base_B, q.zeta))
-    x = base_B
-    while x <= C:
-        nxt = peel_left(x * q.zeta, lad)
+    lad = ladder_multisegment(Quad(q.rho, q.A, q.B + 2, q.zeta))
+    for t in range((q.B + 2).twice, C.twice + 1, 2):
+        x = HalfInt(t * q.zeta)
+        nxt = peel_left(x, lad)
         if nxt is None:
-            raise ValueError(f"left peel at {x * q.zeta} failed while truncating {q}")
-        lad = nxt
-        nxt = peel_right(-(x * q.zeta), lad)
-        if nxt is None:
-            raise ValueError(f"right peel at {-(x * q.zeta)} failed while truncating {q}")
-        lad = nxt
-        x = x + HalfInt.of(1)
+            raise ValueError(f"left peel at {x} failed while truncating {q}")
+        lad = peel_right(-x, nxt)
+        if lad is None:
+            raise ValueError(f"right peel at {-x} failed while truncating {q}")
     return lad

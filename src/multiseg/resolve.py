@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import HalfInt, CuspidalLabel
-from .groth import (GrothExpr, SegmentAtom, commutative_image, induce,
-                    jac_theta, jac_theta_seq, ladder_atom, total_size)
+from .core import HalfInt
+from .groth import (Atom, GrothExpr, SegmentAtom, commutative_image, induce,
+                    jac_left, jac_theta, jac_theta_seq, ladder_atom,
+                    total_size)
 from .ladders import ladder_multisegment, trunc_ladder
 from .params import Parameter, Quad, _quad_sort_key, dominate, is_discrete_diagonal
-
-ONE = HalfInt(2)
-TWO = HalfInt(4)
 
 
 @dataclass
@@ -28,12 +26,21 @@ class Resolution:
     trace: list = field(default_factory=list)
 
 
-def _seg(rho: CuspidalLabel, start: HalfInt, end: HalfInt) -> GrothExpr:
-    return GrothExpr.word((SegmentAtom(rho, start, end),))
-
-
 def _sign(k: int) -> int:
     return 1 if k % 2 == 0 else -1
+
+
+def _expand(q: Quad, middle, closing) -> GrothExpr:
+    """Signed sum over C in ]B, A] of (-1)^(A-C) <zB..-zC> x middle(C) x
+    <zC..-zB>, plus (-1)^[(A-B+1)/2] closing().  C is passed doubled; closing()
+    is called after the last middle(C), which keeps the resolver's trace order."""
+    rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
+    out = GrothExpr.zero()
+    for C in range(B + 2, A + 1, 2):
+        left = GrothExpr.word((Atom(rho, ((B * z, -C * z),)),))
+        right = GrothExpr.word((Atom(rho, ((C * z, -B * z),)),))
+        out = out + _sign((A - C) // 2) * induce([left, middle(C), right])
+    return out + _sign(((A - B) // 2 + 1) // 2) * closing()
 
 
 def resolve_block(q: Quad) -> GrothExpr:
@@ -41,25 +48,14 @@ def resolve_block(q: Quad) -> GrothExpr:
     are kept as ladder atoms."""
     if q.A <= q.B:
         raise ValueError(f"resolve_block needs A > B, got {q}")
-    rho, A, B, z = q.rho, q.A, q.B, q.zeta
-    out = GrothExpr.zero()
-    C = B + ONE
-    while C <= A:
-        left = _seg(rho, B * z, -(C * z))
-        right = _seg(rho, C * z, -(B * z))
-        if B + TWO <= A:
-            middle = GrothExpr.word((ladder_atom(trunc_ladder(q, C)),))
-        else:
-            middle = GrothExpr.word(())
-        k = (A - C).twice // 2
-        out = out + _sign(k) * induce([left, middle, right])
-        C = C + ONE
-    closing = induce([
-        GrothExpr.word((ladder_atom(ladder_multisegment(Quad(rho, A, B + ONE, z))),)),
-        GrothExpr.word((ladder_atom(ladder_multisegment(Quad(rho, B, B, z))),)),
-    ])
-    k = ((A - B).twice // 2 + 1) // 2
-    return out + _sign(k) * closing
+
+    def middle(C):
+        if q.A < q.B + 2:
+            return GrothExpr.word(())
+        return GrothExpr.word((ladder_atom(trunc_ladder(q, HalfInt(C))),))
+
+    return _expand(q, middle, lambda: _elementary_word(
+        (Quad(q.rho, q.A, q.B + 1, q.zeta), Quad(q.rho, q.B, q.B, q.zeta))))
 
 
 def _elementary_word(quads) -> GrothExpr:
@@ -88,8 +84,8 @@ def distinguished_word(psi: Parameter):
         q = max(expandable, key=_quad_sort_key)
         rest = list(quads)
         rest.remove(q)
-        if q.A >= q.B + TWO:
-            rest.append(Quad(q.rho, q.A - ONE, q.B + ONE, q.zeta))
+        if q.A >= q.B + 2:
+            rest.append(Quad(q.rho, q.A - 1, q.B + 1, q.zeta))
         inner = build(tuple(rest))
         left = SegmentAtom(q.rho, q.B * q.zeta, -(q.A * q.zeta))
         right = SegmentAtom(q.rho, q.A * q.zeta, -(q.B * q.zeta))
@@ -124,33 +120,19 @@ class _Resolver:
             rest = tuple(rest)
             rho, A, B, z = q.rho, q.A, q.B, q.zeta
             self.trace.append({
-                "case": "A=B+1" if A == B + ONE else "A>B+1",
+                "case": "A=B+1" if A == B + 1 else "A>B+1",
                 "block": str(q),
             })
-            expr = GrothExpr.zero()
-            C = B + ONE
-            while C <= A:
-                if B + TWO <= A:
-                    inner = self.resolve(rest + (Quad(rho, A, B + TWO, z),))
-                    peels = []
-                    x = B + TWO
-                    while x <= C:
-                        peels.append((rho, x * z))
-                        x = x + ONE
-                    middle = jac_theta_seq(peels, inner)
-                else:
-                    middle = self.resolve(rest)
-                term = induce([
-                    _seg(rho, B * z, -(C * z)),
-                    middle,
-                    _seg(rho, C * z, -(B * z)),
-                ])
-                expr = expr + _sign((A - C).twice // 2) * term
-                C = C + ONE
-            closing = self.resolve(
-                rest + (Quad(rho, A, B + ONE, z), Quad(rho, B, B, z))
-            )
-            expr = expr + _sign(((A - B).twice // 2 + 1) // 2) * closing
+
+            def middle(C):
+                if A < B + 2:
+                    return self.resolve(rest)
+                inner = self.resolve(rest + (Quad(rho, A, B + 2, z),))
+                peels = [(rho, HalfInt(x * z)) for x in range(B.twice + 4, C + 1, 2)]
+                return jac_theta_seq(peels, inner)
+
+            expr = _expand(q, middle, lambda: self.resolve(
+                rest + (Quad(rho, A, B + 1, z), Quad(rho, B, B, z))))
         self.memo[key] = expr
         return expr
 
@@ -175,15 +157,6 @@ def resolve_general(psi: Parameter, rule: str = "minimal",
     return Resolution(psi, expr, trace)
 
 
-def _support_points(q: Quad):
-    pts = []
-    t = -q.A.twice
-    while t <= q.A.twice:
-        pts.append(HalfInt(t))
-        t += 2
-    return pts
-
-
 def verify_cancellation(psi: Parameter, C: HalfInt | None = None) -> dict:
     """Vanishing report for the expansion of psi's largest expandable block.
 
@@ -192,8 +165,6 @@ def verify_cancellation(psi: Parameter, C: HalfInt | None = None) -> dict:
     block the expansion is the one-level resolve_block; otherwise the full
     recursive resolution is used.
     """
-    from .groth import jac_left
-
     quads = psi.quads()
     expandable = [q for q in quads if q.A > q.B]
     if not expandable:
@@ -211,28 +182,30 @@ def verify_cancellation(psi: Parameter, C: HalfInt | None = None) -> dict:
     if single:
         # the one-sided checks are block-local statements; with further
         # blocks present Jac_x legitimately survives at their base points
-        inside = {(x * z).twice for x in _hi_range(B, A)}
+        inside = {x * z for x in range(B.twice, A.twice + 1, 2)}
         lo, hi = -(A.twice + 2), A.twice + 2
         for t in range(lo, hi + 1, 2):
-            x = HalfInt(t)
-            if x.twice in inside:
+            if t in inside:
                 continue
+            x = HalfInt(t)
             val = jac_left(rho, x, expr)
             report["checks"].append(
                 {"kind": "jac_outside", "x": str(x), "vanishes": val.is_zero,
                  "residual": len(val.terms)}
             )
-        for x in _support_points(q):
+        for t in range(-A.twice, A.twice + 1, 2):
+            x = HalfInt(t)
             val = jac_left(rho, x, jac_left(rho, x, expr))
             report["checks"].append(
                 {"kind": "jac_xx", "x": str(x), "vanishes": val.is_zero,
                  "residual": len(val.terms)}
             )
-    cs = [C] if C is not None else list(_hi_range(B + TWO, A))
+    cs = [HalfInt.of(C).twice] if C is not None else range(B.twice + 4, A.twice + 1, 2)
     for c in cs:
-        val = jac_theta(rho, c * z, expr)
+        x = HalfInt(c * z)
+        val = jac_theta(rho, x, expr)
         report["checks"].append(
-            {"kind": "jac_theta", "x": str(c * z), "vanishes": val.is_zero,
+            {"kind": "jac_theta", "x": str(x), "vanishes": val.is_zero,
              "vanishes_mod_commutative": not commutative_image(val),
              "residual": len(val.terms)}
         )
@@ -241,13 +214,6 @@ def verify_cancellation(psi: Parameter, C: HalfInt | None = None) -> dict:
         ch.get("vanishes_mod_commutative", ch["vanishes"]) for ch in report["checks"]
     )
     return report
-
-
-def _hi_range(lo: HalfInt, hi: HalfInt):
-    x = lo
-    while x <= hi:
-        yield x
-        x = x + ONE
 
 
 def degree_conserved(res: Resolution) -> bool:

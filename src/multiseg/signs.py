@@ -59,7 +59,7 @@ def z_sets(psi: Parameter):
 def z_sign(psi: Parameter, which: str) -> int:
     """(-1)^(|Z_?|/2); the pair sets always have even cardinality."""
     Z, ZW, ZU = z_sets(psi)
-    chosen = {"W": ZW, "U": ZU, "": Z, "empty": Z}[which]
+    chosen = {"W": ZW, "U": ZU, "": Z}[which]
     assert len(chosen) % 2 == 0
     return 1 if (len(chosen) // 2) % 2 == 0 else -1
 
@@ -74,7 +74,7 @@ class SignChar:
 
 def eps_char(psi: Parameter, which: str) -> SignChar:
     Z, ZW, ZU = z_sets(psi)
-    chosen = {"W": ZW, "U": ZU, "": Z, "empty": Z}[which]
+    chosen = {"W": ZW, "U": ZU, "": Z}[which]
     counts = [0] * len(psi.blocks)
     for p in chosen:
         counts[p.first] += 1
@@ -96,14 +96,9 @@ def eval_at_c2(sc: SignChar, psi: Parameter) -> int:
     return out
 
 
-_A_CONVENTIONS = ("unordered-distinct", "ordered-distinct-halved")
-
-
-def a_sign(psi: Parameter, convention: str = "unordered-distinct") -> int:
-    """Sign with exponent sum of inf(a,a')inf(b,b') over same-label pairs of
-    distinct instances, under the chosen pair-counting convention."""
-    if convention not in _A_CONVENTIONS:
-        raise ValueError(f"unknown a_sign convention {convention!r}")
+def a_sign(psi: Parameter) -> int:
+    """Sign with exponent sum of inf(a,a')inf(b,b') over unordered same-label
+    pairs of distinct instances."""
     blocks = psi.blocks
     total = 0
     for i, b1 in enumerate(blocks):
@@ -111,16 +106,14 @@ def a_sign(psi: Parameter, convention: str = "unordered-distinct") -> int:
             if j <= i or b1.rho != b2.rho:
                 continue
             total += min(b1.a, b2.a) * min(b1.b, b2.b)
-    if convention == "ordered-distinct-halved":
-        total = (2 * total) // 2
     return 1 if total % 2 == 0 else -1
 
 
-def theta_ratio_WU(psi: Parameter, convention: str = "unordered-distinct") -> dict:
+def theta_ratio_WU(psi: Parameter) -> dict:
     """The Whittaker/unipotent normalization ratio, computed three ways.
 
     half_sum: the explicit half-sum exponent over ordered distinct pairs;
-    a_chain: a(psi) a(psi1) a(psi2) a(psi_ii) under the given convention;
+    a_chain: a(psi) a(psi1) a(psi2) a(psi_ii), pairs counted unordered;
     zW_zU:   z_W(psi) * z_U(psi).  The exported ratio is zW_zU.
     """
     blocks = psi.blocks
@@ -136,17 +129,14 @@ def theta_ratio_WU(psi: Parameter, convention: str = "unordered-distinct") -> di
     assert twice % 2 == 0
     half_sum = 1 if (twice // 2) % 2 == 0 else -1
     psi2, psi1, psi_ii = imp_variants(psi)
-    a_chain = (
-        a_sign(psi, convention) * a_sign(psi1, convention)
-        * a_sign(psi2, convention) * a_sign(psi_ii, convention)
-    )
+    a_chain = a_sign(psi) * a_sign(psi1) * a_sign(psi2) * a_sign(psi_ii)
     zz = z_sign(psi, "W") * z_sign(psi, "U")
     return {
         "half_sum": half_sum,
         "a_chain": a_chain,
         "zW_zU": zz,
         "ratio": zz,
-        "convention": convention,
+        "convention": "unordered-distinct",
         "consistent": half_sum == zz,
     }
 

@@ -125,8 +125,9 @@ class TestCommands:
         assert main(["classify", "/nonexistent/psi.txt"]) == 1
 
     def test_unknown_flag_is_fatal(self, guide_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["classify", "--frobnicate", guide_path])
+        assert exc.value.code == 1
 
     def test_byte_determinism(self, guide_path, capsys):
         for cmd in (

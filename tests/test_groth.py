@@ -3,10 +3,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiseg import (CuspidalLabel, GrothExpr, HalfInt, SegmentAtom,
-                      gl_multisegment, induce, jac_left, jac_right, jac_theta,
-                      jac_theta_seq, ladder_atom, ladder_multisegment,
-                      parse_multisegment, total_size)
+from multiseg import (CuspidalLabel, GrothExpr, HalfInt, Ladder, Segment,
+                      SegmentAtom, gl_multisegment, induce, jac_left,
+                      jac_right, jac_theta, jac_theta_seq, ladder_atom,
+                      ladder_multisegment, parse_multisegment, total_size)
 from multiseg.core import Multisegment
 from multiseg.groth import canonical_word, commutative_image
 
@@ -76,6 +76,59 @@ class TestCanonicalWords:
 
     def test_orientation_distinguishes_atoms(self):
         assert word(atom(1, -1)) != word(atom(-1, 1))
+
+    def test_matches_brute_force_commutation_class(self):
+        # Oracle: enumerate the whole commutation class by adjacent swaps,
+        # deciding commutation from the printed rows alone, and take the
+        # least word by atom sort key.
+        rng = random.Random(11)
+        for _ in range(3000):
+            atoms = tuple(_random_atom(rng) for _ in range(rng.randint(1, 6)))
+            pts = [_points(a.to_json()) for a in atoms]
+            linked = [[pts[i][0] == pts[j][0] and any(
+                abs(x - y) in (0, 2) for x in pts[i][1] for y in pts[j][1])
+                for j in range(len(atoms))] for i in range(len(atoms))]
+            start = tuple(range(len(atoms)))
+            seen = {start}
+            todo = [start]
+            while todo:
+                w = todo.pop()
+                for k in range(len(w) - 1):
+                    if linked[w[k]][w[k + 1]]:
+                        continue
+                    v = w[:k] + (w[k + 1], w[k]) + w[k + 2:]
+                    if v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+            keys = [a.sort_key() for a in atoms]
+            least = min(seen, key=lambda w: [keys[i] for i in w])
+            assert canonical_word(atoms) == tuple(atoms[i] for i in least), atoms
+
+
+def _random_atom(rng: random.Random):
+    rho = rng.choice([R, D2])
+    off = rng.randint(0, 1)
+    if rng.random() < 0.5:
+        return SegmentAtom(rho, HalfInt(2 * rng.randint(-3, 3) + off),
+                           HalfInt(2 * rng.randint(-3, 3) + off))
+    k = rng.randint(2, 3)
+    starts = sorted(rng.sample(range(-4, 5), k), reverse=True)
+    ends = sorted(rng.sample(range(-4, 5), k), reverse=True)
+    rows = tuple(Segment(rho, HalfInt(2 * s + off), HalfInt(2 * e + off))
+                 for s, e in zip(starts, ends))
+    return ladder_atom(Ladder(rho, rows))
+
+
+def _points(j):
+    """(label, doubled points) of an atom's JSON form.  Atoms of one label
+    link when two of their points lie at distance 0 or 1; points of
+    different cosets of Z never link."""
+    rows = j["rows"] if "rows" in j else [[j["start"], j["end"]]]
+    out = set()
+    for s, e in rows:
+        s, e = HalfInt.parse(s).twice, HalfInt.parse(e).twice
+        out.update(range(min(s, e), max(s, e) + 1, 2))
+    return j["rho"], out
 
 
 class TestJacquet:

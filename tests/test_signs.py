@@ -116,17 +116,6 @@ class TestASign:
         assert a_sign(P((3, 2))) == 1
         assert a_sign(Parameter([JordanBlock(R, 2, 1), JordanBlock(S, 1, 2)])) == 1
 
-    def test_conventions_agree(self):
-        rng = random.Random(6)
-        for _ in range(100):
-            psi = random_parameter(rng, [R, S])
-            assert a_sign(psi, "unordered-distinct") == a_sign(
-                psi, "ordered-distinct-halved")
-
-    def test_rejects_unknown_convention(self):
-        with pytest.raises(ValueError):
-            a_sign(P((1, 1)), "whatever")
-
 
 class TestThetaRatio:
     def test_guide_example(self):
