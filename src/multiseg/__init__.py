@@ -1,10 +1,9 @@
 """Exact segment combinatorics for twisted general linear groups."""
 
-from .core import (CuspidalLabel, HalfInt, Multisegment, Segment, mw_dual,
-                   parse_multisegment, segment_elements, support)
-from .groth import (Atom, GrothExpr, SegmentAtom, gl_multisegment,
-                    induce, jac_left, jac_right, jac_theta, jac_theta_seq,
-                    ladder_atom, total_size)
+from .core import (CuspidalLabel, HalfInt, IdentityError, Multisegment,
+                   Segment, mw_dual, parse_multisegment, support)
+from .groth import (GrothExpr, SegmentAtom, gl_multisegment, induce,
+                    jac_left, jac_right, jac_theta, jac_theta_seq, total_size)
 from .ladders import (Ladder, ladder_multisegment, peel_left, peel_right,
                       tableau_cols, trunc_ladder)
 from .paramfile import ParamFileError, parse_parameter_file, render_parameter_file

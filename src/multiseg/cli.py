@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .core import HalfInt, mw_dual, parse_multisegment
+from .core import HalfInt, IdentityError, mw_dual, parse_multisegment
 from .groth import jac_left, jac_theta
 from .paramfile import ParamFileError, parse_parameter_file, render_parameter_file
 from .params import (dominate, in_Psi_H, is_discrete, is_discrete_diagonal,
@@ -147,11 +147,7 @@ def cmd_jacquet(args) -> int:
         print(f"error: unknown cuspidal {args.rho!r}", file=sys.stderr)
         return BAD_INPUT
     rho = labels[args.rho]
-    try:
-        x = HalfInt.parse(args.x)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
+    x = HalfInt.parse(args.x)
     expr = resolve_general(psi).expr
     out = jac_theta(rho, x, expr) if args.theta else jac_left(rho, x, expr)
     payload = {
@@ -184,11 +180,7 @@ def cmd_dominate(args) -> int:
 
 
 def cmd_dual(args) -> int:
-    try:
-        m = parse_multisegment(args.multisegment)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
+    m = parse_multisegment(args.multisegment)
     d = mw_dual(m)
     if mw_dual(d) != m:
         print("identity failure: dual applied twice did not return the input",
@@ -290,12 +282,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ParamFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return BAD_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
+    except IdentityError as exc:
+        print(f"identity failure: {exc}", file=sys.stderr)
+        return BAD_IDENTITY
 
 
 if __name__ == "__main__":

@@ -74,8 +74,12 @@ class HalfInt:
 
 
 ZERO = HalfInt(0)
-HALF = HalfInt(1)
 ONE = HalfInt(2)
+
+
+class IdentityError(RuntimeError):
+    """An exact identity that must hold did not; a fault of the program,
+    not of its input."""
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -151,11 +155,6 @@ class Segment:
 
     def __str__(self) -> str:
         return f"[{self.start}..{self.end}]{self.rho.name}"
-
-
-def segment_elements(seg: Segment) -> tuple[HalfInt, ...]:
-    """Ordered elements start, start-+1, ..., end."""
-    return seg.elements()
 
 
 class Multisegment:

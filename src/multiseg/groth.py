@@ -10,53 +10,16 @@ Leibniz rule over word factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import CuspidalLabel, HalfInt, Multisegment, Segment
+from .core import CuspidalLabel, HalfInt, Multisegment
 from .ladders import Ladder, peel_rows
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    """Ladder factor: oriented rows as doubled (start, end) pairs in ladder
-    order (descending start).  One row is the socle <rho||^start, ...,
-    rho||^end>; orientation is meaningful."""
-
-    rho: CuspidalLabel
-    rows: tuple[tuple[int, int], ...]
-
-    @property
-    def size(self) -> int:
-        return sum(abs(s - e) // 2 + 1 for s, e in self.rows) * self.rho.d
-
-    def sort_key(self):
-        return (self.rho.name, len(self.rows) > 1, self.rows)
-
-    def to_json(self):
-        if len(self.rows) == 1:
-            s, e = self.rows[0]
-            return {"type": "segment", "rho": self.rho.name,
-                    "start": str(HalfInt(s)), "end": str(HalfInt(e))}
-        return {"type": "ladder", "rho": self.rho.name,
-                "rows": [[str(HalfInt(s)), str(HalfInt(e))] for s, e in self.rows]}
-
-    def __str__(self) -> str:
-        body = ",".join(f"[{HalfInt(s)}..{HalfInt(e)}]" for s, e in self.rows)
-        if len(self.rows) == 1:
-            return body + self.rho.name
-        return f"L({body}){self.rho.name}"
+def SegmentAtom(rho: CuspidalLabel, start: HalfInt, end: HalfInt) -> Ladder:
+    """One-row ladder for the segment [start..end]."""
+    return Ladder(rho, ((start.twice, end.twice),))
 
 
-def SegmentAtom(rho: CuspidalLabel, start: HalfInt, end: HalfInt) -> Atom:
-    """One-row atom for the segment [start..end]."""
-    return Atom(rho, ((start.twice, end.twice),))
-
-
-def ladder_atom(lad: Ladder) -> Atom:
-    return Atom(lad.rho, lad.pairs)
-
-
-def _commute(a: Atom, b: Atom) -> bool:
+def _commute(a: Ladder, b: Ladder) -> bool:
     """True unless the labels agree and two rows in one coset of Z come
     within distance 1 of each other (doubled: a gap of at most 2)."""
     if a.rho != b.rho:
@@ -69,7 +32,7 @@ def _commute(a: Atom, b: Atom) -> bool:
     return True
 
 
-def canonical_word(atoms) -> tuple[Atom, ...]:
+def canonical_word(atoms) -> tuple[Ladder, ...]:
     """Lexicographically least representative of the commutation class."""
     pending = [a for a in atoms if a.size > 0]
     out = []
@@ -83,15 +46,12 @@ def canonical_word(atoms) -> tuple[Atom, ...]:
     return tuple(out)
 
 
-def total_size(word: tuple[Atom, ...]) -> int:
+def total_size(word: tuple[Ladder, ...]) -> int:
     return sum(a.size for a in word)
 
 
-def gl_multisegment(word: tuple[Atom, ...]) -> Multisegment:
-    segs = []
-    for a in word:
-        segs.extend(Segment(a.rho, HalfInt(s), HalfInt(e)) for s, e in a.rows)
-    return Multisegment(segs)
+def gl_multisegment(word: tuple[Ladder, ...]) -> Multisegment:
+    return Multisegment(seg for a in word for seg in a.segments())
 
 
 class GrothExpr:
@@ -99,16 +59,15 @@ class GrothExpr:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None, _canonical=False):
-        acc: dict[tuple[Atom, ...], int] = {}
-        for word, coeff in (terms or {}).items():
-            if coeff == 0:
-                continue
-            if not _canonical:
-                word = canonical_word(word)
-            acc[word] = acc.get(word, 0) + coeff
-            if acc[word] == 0:
-                del acc[word]
+    def __init__(self, pairs=()):
+        """Sum (canonical word, coefficient) pairs, dropping zero totals."""
+        acc: dict[tuple[Ladder, ...], int] = {}
+        for word, coeff in pairs:
+            c = acc.get(word, 0) + coeff
+            if c:
+                acc[word] = c
+            else:
+                acc.pop(word, None)
         object.__setattr__(self, "terms", acc)
 
     def __setattr__(self, *a):
@@ -120,7 +79,7 @@ class GrothExpr:
 
     @staticmethod
     def word(atoms, coeff: int = 1) -> "GrothExpr":
-        return GrothExpr({tuple(atoms): coeff})
+        return GrothExpr(((canonical_word(tuple(atoms)), coeff),))
 
     @property
     def is_zero(self) -> bool:
@@ -133,26 +92,16 @@ class GrothExpr:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "GrothExpr") -> "GrothExpr":
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            acc[w] = acc.get(w, 0) + c
-            if acc[w] == 0:
-                del acc[w]
-        return GrothExpr(acc, _canonical=True)
+        return GrothExpr([*self.terms.items(), *other.terms.items()])
 
     def __sub__(self, other: "GrothExpr") -> "GrothExpr":
         return self + (-1) * other
 
     def __rmul__(self, k: int) -> "GrothExpr":
-        if k == 0:
-            return GrothExpr.zero()
-        return GrothExpr({w: k * c for w, c in self.terms.items()}, _canonical=True)
+        return GrothExpr((w, k * c) for w, c in self.terms.items())
 
     def __neg__(self) -> "GrothExpr":
         return (-1) * self
-
-    def coeff(self, word) -> int:
-        return self.terms.get(canonical_word(word), 0)
 
     def sorted_terms(self):
         return sorted(
@@ -180,35 +129,25 @@ class GrothExpr:
 
 def induce(parts) -> GrothExpr:
     """Multilinear concatenation of words; sizes add."""
-    parts = list(parts)
-    if not parts:
-        return GrothExpr.word(())
-    acc = {(): 1}
+    terms = [((), 1)]
     for p in parts:
-        nxt: dict[tuple[Atom, ...], int] = {}
-        for w1, c1 in acc.items():
-            for w2, c2 in p.terms.items():
-                w = w1 + w2
-                nxt[w] = nxt.get(w, 0) + c1 * c2
-        acc = nxt
-    return GrothExpr(acc)
+        terms = [(w1 + w2, c1 * c2) for w1, c1 in terms for w2, c2 in p.terms.items()]
+    return GrothExpr((canonical_word(w), c) for w, c in terms)
 
 
 def _jac(left: bool, rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
-    acc: dict[tuple[Atom, ...], int] = {}
-    for word, c in e.terms.items():
-        for i, atom in enumerate(word):
-            if atom.rho != rho:
-                continue
-            rows = peel_rows(atom.rows, x.twice, left)
-            if rows is None:
-                continue
-            w = word[:i] + ((Atom(atom.rho, rows),) if rows else ()) + word[i + 1:]
-            w = canonical_word(w)
-            acc[w] = acc.get(w, 0) + c
-            if acc[w] == 0:
-                del acc[w]
-    return GrothExpr(acc, _canonical=True)
+    def peeled():
+        for word, c in e.terms.items():
+            for i, atom in enumerate(word):
+                if atom.rho != rho:
+                    continue
+                rows = peel_rows(atom.rows, x.twice, left)
+                if rows is None:
+                    continue
+                w = word[:i] + ((Ladder(atom.rho, rows),) if rows else ()) + word[i + 1:]
+                yield canonical_word(w), c
+
+    return GrothExpr(peeled())
 
 
 def jac_left(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:

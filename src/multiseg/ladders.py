@@ -1,16 +1,17 @@
 """Ladder multisegments: block tableaux, truncations, and single-point peels.
 
-A ladder is a multisegment whose rows have pairwise distinct starts and
-pairwise distinct ends, with both orders agreeing.  Rows stay oriented: the
-tableau of a quad has descending rows for zeta=+ and ascending rows for
-zeta=-.
+A ladder is a multisegment over one label whose rows have pairwise distinct
+starts and pairwise distinct ends, with both orders agreeing.  Rows stay
+oriented: the tableau of a quad has descending rows for zeta=+ and
+ascending rows for zeta=-.  The same type is the factor of a word in the
+formal group; a segment is a one-row ladder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HalfInt, Multisegment, Segment
+from .core import CuspidalLabel, HalfInt, Multisegment, Segment
 from .params import Quad
 
 
@@ -40,47 +41,60 @@ def peel_rows(rows, x: int, left: bool):
     return out if _is_ladder(out) else None
 
 
+def _body(rows) -> str:
+    return ",".join(f"[{HalfInt(s)}..{HalfInt(e)}]" for s, e in rows)
+
+
 @dataclass(frozen=True, slots=True)
 class Ladder:
-    """Rows sorted by descending start."""
+    """Oriented rows as doubled (start, end) pairs in ladder order
+    (descending start).  One row is the socle <rho||^start, ..., rho||^end>;
+    orientation is meaningful."""
 
-    rho: object
-    rows: tuple[Segment, ...]
+    rho: CuspidalLabel
+    rows: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        rows = tuple(
-            sorted(self.rows, key=lambda r: r.start.twice, reverse=True)
-        )
-        object.__setattr__(self, "rows", rows)
-        if any(r.rho != self.rho for r in rows):
+        if not _is_ladder(self.rows):
+            raise ValueError(f"rows do not satisfy the ladder condition: {_body(self.rows)}")
+
+    @classmethod
+    def of(cls, rho: CuspidalLabel, segments) -> "Ladder":
+        """Ladder of the given segments, in any order, over the label rho."""
+        segs = sorted(segments, key=lambda r: r.start.twice, reverse=True)
+        if any(r.rho != rho for r in segs):
             raise ValueError("ladder rows must share the ladder's label")
-        if not _is_ladder(self.pairs):
-            raise ValueError(f"rows do not satisfy the ladder condition: {list(map(str, rows))}")
+        return cls(rho, tuple((r.start.twice, r.end.twice) for r in segs))
 
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Rows as doubled (start, end) pairs."""
-        return tuple((r.start.twice, r.end.twice) for r in self.rows)
-
-    def multisegment(self) -> Multisegment:
-        return Multisegment(self.rows)
+    def segments(self) -> tuple[Segment, ...]:
+        return tuple(Segment(self.rho, HalfInt(s), HalfInt(e)) for s, e in self.rows)
 
     @property
     def size(self) -> int:
-        return sum(r.length for r in self.rows)
+        return sum(abs(s - e) // 2 + 1 for s, e in self.rows) * self.rho.d
+
+    def sort_key(self):
+        return (self.rho.name, len(self.rows) > 1, self.rows)
+
+    def to_json(self):
+        if len(self.rows) == 1:
+            s, e = self.rows[0]
+            return {"type": "segment", "rho": self.rho.name,
+                    "start": str(HalfInt(s)), "end": str(HalfInt(e))}
+        return {"type": "ladder", "rho": self.rho.name,
+                "rows": [[str(HalfInt(s)), str(HalfInt(e))] for s, e in self.rows]}
 
     def __str__(self) -> str:
-        return "L{" + ", ".join(str(r) for r in self.rows) + "}"
+        if len(self.rows) == 1:
+            return _body(self.rows) + self.rho.name
+        return f"L({_body(self.rows)}){self.rho.name}"
 
 
 def ladder_multisegment(q: Quad) -> Ladder:
     """Tableau of the quad: rows [zeta(B+k) .. -zeta(A-k)] for k = 0..A-B."""
-    rows = []
-    for k in range((q.A - q.B).twice // 2 + 1):
-        start = (q.B + HalfInt.of(k)) * q.zeta
-        end = -((q.A - HalfInt.of(k)) * q.zeta)
-        rows.append(Segment(q.rho, start, end))
-    return Ladder(q.rho, tuple(rows))
+    A, B, z = q.A.twice, q.B.twice, q.zeta
+    rows = (((B + k) * z, -(A - k) * z) for k in range(0, A - B + 1, 2))
+    return Ladder(q.rho, tuple(sorted(rows, reverse=True)))
 
 
 def tableau_cols(q: Quad) -> Multisegment:
@@ -94,10 +108,8 @@ def tableau_cols(q: Quad) -> Multisegment:
 
 
 def _peel(x: HalfInt, lad: Ladder, left: bool) -> Ladder | None:
-    rows = peel_rows(lad.pairs, x.twice, left)
-    if rows is None:
-        return None
-    return Ladder(lad.rho, tuple(Segment(lad.rho, HalfInt(s), HalfInt(e)) for s, e in rows))
+    rows = peel_rows(lad.rows, x.twice, left)
+    return None if rows is None else Ladder(lad.rho, rows)
 
 
 def peel_left(x: HalfInt, lad: Ladder) -> Ladder | None:

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import HalfInt
-from .groth import (Atom, GrothExpr, SegmentAtom, commutative_image, induce,
-                    jac_left, jac_theta, jac_theta_seq, ladder_atom,
-                    total_size)
-from .ladders import ladder_multisegment, trunc_ladder
+from .groth import (GrothExpr, SegmentAtom, commutative_image, induce,
+                    jac_left, jac_theta, jac_theta_seq, total_size)
+from .ladders import Ladder, ladder_multisegment, trunc_ladder
 from .params import Parameter, Quad, _quad_sort_key, dominate, is_discrete_diagonal
 
 
@@ -37,8 +36,8 @@ def _expand(q: Quad, middle, closing) -> GrothExpr:
     rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
     out = GrothExpr.zero()
     for C in range(B + 2, A + 1, 2):
-        left = GrothExpr.word((Atom(rho, ((B * z, -C * z),)),))
-        right = GrothExpr.word((Atom(rho, ((C * z, -B * z),)),))
+        left = GrothExpr.word((Ladder(rho, ((B * z, -C * z),)),))
+        right = GrothExpr.word((Ladder(rho, ((C * z, -B * z),)),))
         out = out + _sign((A - C) // 2) * induce([left, middle(C), right])
     return out + _sign(((A - B) // 2 + 1) // 2) * closing()
 
@@ -52,7 +51,7 @@ def resolve_block(q: Quad) -> GrothExpr:
     def middle(C):
         if q.A < q.B + 2:
             return GrothExpr.word(())
-        return GrothExpr.word((ladder_atom(trunc_ladder(q, HalfInt(C))),))
+        return GrothExpr.word((trunc_ladder(q, HalfInt(C)),))
 
     return _expand(q, middle, lambda: _elementary_word(
         (Quad(q.rho, q.A, q.B + 1, q.zeta), Quad(q.rho, q.B, q.B, q.zeta))))
@@ -60,8 +59,7 @@ def resolve_block(q: Quad) -> GrothExpr:
 
 def _elementary_word(quads) -> GrothExpr:
     ordered = sorted(quads, key=_quad_sort_key, reverse=True)
-    atoms = tuple(ladder_atom(ladder_multisegment(q)) for q in ordered)
-    return GrothExpr.word(atoms)
+    return GrothExpr.word(ladder_multisegment(q) for q in ordered)
 
 
 def distinguished_word(psi: Parameter):
@@ -163,21 +161,26 @@ def verify_cancellation(psi: Parameter, C: HalfInt | None = None) -> dict:
     Checks Jac_x for x outside [zeta B, zeta A], Jac_{x,x} for all support
     points, and the theta-peels at zeta C for C in ]B+1, A].  For a single
     block the expansion is the one-level resolve_block; otherwise the full
-    recursive resolution is used.
+    recursive resolution is used.  Raises ValueError when no check applies
+    (several blocks and A = B+1), rather than report a vacuous pass.
     """
     quads = psi.quads()
     expandable = [q for q in quads if q.A > q.B]
     if not expandable:
         raise ValueError("nothing to verify: all blocks are elementary")
     q = max(expandable, key=_quad_sort_key)
-    if len(quads) == 1:
-        expr = resolve_block(q)
-    elif is_discrete_diagonal(psi):
-        expr = resolve_param(psi).expr
-    else:
-        raise ValueError("verify_cancellation needs a single block or discrete diagonal input")
     rho, A, B, z = q.rho, q.A, q.B, q.zeta
     single = len(quads) == 1
+    cs = [HalfInt.of(C).twice] if C is not None else range(B.twice + 4, A.twice + 1, 2)
+    if single:
+        expr = resolve_block(q)
+    elif not is_discrete_diagonal(psi):
+        raise ValueError("verify_cancellation needs a single block or discrete diagonal input")
+    elif not cs:
+        raise ValueError(f"nothing to verify: {q} has A = B+1, so with further "
+                         "blocks present no check applies")
+    else:
+        expr = resolve_param(psi).expr
     report = {"quad": str(q), "single_block": single, "checks": []}
     if single:
         # the one-sided checks are block-local statements; with further
@@ -200,7 +203,6 @@ def verify_cancellation(psi: Parameter, C: HalfInt | None = None) -> dict:
                 {"kind": "jac_xx", "x": str(x), "vanishes": val.is_zero,
                  "residual": len(val.terms)}
             )
-    cs = [HalfInt.of(C).twice] if C is not None else range(B.twice + 4, A.twice + 1, 2)
     for c in cs:
         x = HalfInt(c * z)
         val = jac_theta(rho, x, expr)

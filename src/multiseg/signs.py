@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ZERO, CuspidalLabel
+from .core import ZERO, CuspidalLabel, IdentityError
 from .params import Parameter, imp_variants, is_elementary, to_quad
 
 
@@ -16,7 +16,6 @@ from .params import Parameter, imp_variants, is_elementary, to_quad
 class ZPair:
     first: int
     second: int
-    which: str  # "W" or "U"
 
 
 def _gate(b1, b2) -> bool:
@@ -50,7 +49,7 @@ def z_sets(psi: Parameter):
             else:
                 # s = 0 with B = B' != 0 forces zeta*zeta' = -1
                 which = "W" if (q1.A - q2.A) * q1.zeta < ZERO else "U"
-            pair = ZPair(i, j, which)
+            pair = ZPair(i, j)
             Z.append(pair)
             (ZW if which == "W" else ZU).append(pair)
     return tuple(Z), tuple(ZW), tuple(ZU)
@@ -60,7 +59,8 @@ def z_sign(psi: Parameter, which: str) -> int:
     """(-1)^(|Z_?|/2); the pair sets always have even cardinality."""
     Z, ZW, ZU = z_sets(psi)
     chosen = {"W": ZW, "U": ZU, "": Z}[which]
-    assert len(chosen) % 2 == 0
+    if len(chosen) % 2:
+        raise IdentityError(f"Z_{which or 'empty'} has odd cardinality {len(chosen)}")
     return 1 if (len(chosen) // 2) % 2 == 0 else -1
 
 
@@ -69,7 +69,6 @@ class SignChar:
     """Map from block instances to signs, for one of the three pair sets."""
 
     values: tuple[int, ...]
-    which: str
 
 
 def eps_char(psi: Parameter, which: str) -> SignChar:
@@ -78,7 +77,7 @@ def eps_char(psi: Parameter, which: str) -> SignChar:
     counts = [0] * len(psi.blocks)
     for p in chosen:
         counts[p.first] += 1
-    return SignChar(tuple(1 if c % 2 == 0 else -1 for c in counts), which)
+    return SignChar(tuple(1 if c % 2 == 0 else -1 for c in counts))
 
 
 def eval_at_z(sc: SignChar) -> int:
@@ -126,7 +125,8 @@ def theta_ratio_WU(psi: Parameter) -> dict:
                 min(b1.a, b2.a) * (1 + max(b1.a, b2.a))
                 * min(b1.b, b2.b) * (1 + max(b1.b, b2.b))
             )
-    assert twice % 2 == 0
+    if twice % 2:
+        raise IdentityError(f"half-sum exponent {twice}/2 is not an integer")
     half_sum = 1 if (twice // 2) % 2 == 0 else -1
     psi2, psi1, psi_ii = imp_variants(psi)
     a_chain = a_sign(psi) * a_sign(psi1) * a_sign(psi2) * a_sign(psi_ii)

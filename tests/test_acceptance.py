@@ -9,7 +9,7 @@ import time
 
 from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Parameter, Quad,
                       beta_closed_form, beta_sign, distinguished_word,
-                      eps_char, eval_at_c2, eval_at_z,
+                      eps_char, eval_at_c2, eval_at_z, gl_multisegment,
                       ladder_multisegment, mw_dual, resolve_block,
                       resolve_general, support, tableau_cols, theta_ratio_WU,
                       to_quad, total_size, verify_cancellation, z_sign)
@@ -133,7 +133,7 @@ def test_criterion_8_dual_involution():
     for a in range(1, 7):
         for b in range(1, 7):
             q = to_quad(JordanBlock(RHO, a, b))
-            assert mw_dual(ladder_multisegment(q).multisegment()) == tableau_cols(q)
+            assert mw_dual(gl_multisegment((ladder_multisegment(q),))) == tableau_cols(q)
     dt = time.time() - t0
     assert dt < 5.0
     print(f"CRITERION 8 PASS  dual involution on 200 multisegments and the "

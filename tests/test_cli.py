@@ -115,6 +115,23 @@ class TestCommands:
         assert main(["verify", str(p)]) == 0
         assert "vanishes" in capsys.readouterr().out
 
+    def test_verify_without_checks_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "b.txt"
+        p.write_text("cuspidal rho\nblock rho 3 2\nblock rho 1 1\n")
+        assert main(["verify", str(p)]) == 1
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith("error: nothing to verify:")
+
+    def test_identity_error_exits_2(self, guide_path, capsys, monkeypatch):
+        import multiseg.signs
+        odd = ((), (multiseg.signs.ZPair(0, 1),), ())
+        monkeypatch.setattr(multiseg.signs, "z_sets", lambda psi: odd)
+        assert main(["signs", guide_path]) == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.startswith("identity failure: Z_W has odd cardinality 1")
+
     def test_bad_file_exits_1(self, tmp_path, capsys):
         p = tmp_path / "bad.txt"
         p.write_text("block rho 1 1\n")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Multisegment,
                       Segment, ladder_multisegment, mw_dual,
-                      parse_multisegment, segment_elements, support,
+                      gl_multisegment, parse_multisegment, support,
                       tableau_cols, to_quad)
 
 from conftest import random_multisegment
@@ -43,14 +43,14 @@ class TestHalfInt:
 
 class TestSegmentElements:
     def test_descending(self):
-        assert segment_elements(seg(2, 0)) == (HalfInt.of(2), HalfInt.of(1), HalfInt.of(0))
+        assert seg(2, 0).elements() == (HalfInt.of(2), HalfInt.of(1), HalfInt.of(0))
 
     def test_ascending(self):
-        assert segment_elements(seg("-1/2", "3/2")) == (
+        assert seg("-1/2", "3/2").elements() == (
             HalfInt.parse("-1/2"), HalfInt.parse("1/2"), HalfInt.parse("3/2"))
 
     def test_singleton(self):
-        assert segment_elements(seg(1, 1)) == (HalfInt.of(1),)
+        assert seg(1, 1).elements() == (HalfInt.of(1),)
 
     def test_mixed_coset_rejected(self):
         with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ class TestDual:
         for a in range(1, 7):
             for b in range(1, 7):
                 q = to_quad(JordanBlock(RHO, a, b))
-                rows = ladder_multisegment(q).multisegment()
+                rows = gl_multisegment((ladder_multisegment(q),))
                 assert mw_dual(rows) == tableau_cols(q), (a, b)
 
     def test_involution_on_random_sample(self):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, Ladder, Segment,
                       SegmentAtom, gl_multisegment, induce, jac_left,
-                      jac_right, jac_theta, jac_theta_seq, ladder_atom,
+                      jac_right, jac_theta, jac_theta_seq,
                       ladder_multisegment, parse_multisegment, total_size)
 from multiseg.core import Multisegment
 from multiseg.groth import canonical_word, commutative_image
@@ -116,7 +116,7 @@ def _random_atom(rng: random.Random):
     ends = sorted(rng.sample(range(-4, 5), k), reverse=True)
     rows = tuple(Segment(rho, HalfInt(2 * s + off), HalfInt(2 * e + off))
                  for s, e in zip(starts, ends))
-    return ladder_atom(Ladder(rho, rows))
+    return Ladder.of(rho, rows)
 
 
 def _points(j):
@@ -162,9 +162,9 @@ class TestJacquet:
     def test_theta_matches_trunc_ladder(self):
         from multiseg import Quad, trunc_ladder
         q = Quad(R, hi(3), hi(0), 1)
-        base = word(ladder_atom(ladder_multisegment(Quad(R, hi(3), hi(2), 1))))
+        base = word(ladder_multisegment(Quad(R, hi(3), hi(2), 1)))
         got = jac_theta(R, hi(2), base)
-        assert got == word(ladder_atom(trunc_ladder(q, hi(2))))
+        assert got == word(trunc_ladder(q, hi(2)))
 
     def test_size_drop(self):
         rng = random.Random(8)
@@ -228,7 +228,7 @@ class TestSizesAndSupports:
 
     def test_gl_multisegment_of_ladder(self):
         from multiseg import Quad
-        a = ladder_atom(ladder_multisegment(Quad(R, hi(1), hi(1), 1)))
+        a = ladder_multisegment(Quad(R, hi(1), hi(1), 1))
         assert gl_multisegment((a,)) == parse_multisegment("{[1..-1]rho}")
 
     def test_json_is_sorted_and_stable(self):
@@ -244,3 +244,35 @@ class TestCommutativeImage:
         e2 = word(atom(0, 0), atom(1, 0))
         assert e1 != e2
         assert commutative_image(e1) == commutative_image(e2)
+
+
+def _random_ladder(rng: random.Random):
+    """Full or truncated tableau of a random quad (A <= 5, either zeta)."""
+    from multiseg import Quad, trunc_ladder
+    zeta = rng.choice([1, -1])
+    B2 = rng.randint(0, 6)
+    A2 = B2 + 2 * rng.randint(0, 4)
+    if B2 == 0 and zeta == -1:
+        zeta = 1
+    q = Quad(R, HalfInt(A2), HalfInt(B2), zeta)
+    if A2 >= B2 + 4 and rng.random() < 0.6:
+        return trunc_ladder(q, HalfInt(rng.randrange(B2 + 2, A2 + 1, 2)))
+    return ladder_multisegment(q)
+
+
+class TestJacquetMatchesLadderPeel:
+    """The word-level Jac_x of a one-factor word is the ladder peel."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_left_and_right(self, seed):
+        from multiseg import peel_left, peel_right
+        rng = random.Random(seed)
+        L = _random_ladder(rng)
+        for t in range(-12, 13):
+            x = HalfInt(t)
+            for jac, peel in ((jac_left, peel_left), (jac_right, peel_right)):
+                got = jac(R, x, word(L))
+                peeled = peel(x, L)
+                want = GrothExpr.zero() if peeled is None else word(peeled)
+                assert got == want, (str(L), t, jac.__name__)

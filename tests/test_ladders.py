@@ -21,29 +21,29 @@ def seg(s, e):
 
 
 def lad(*pairs):
-    return Ladder(R, tuple(seg(s, e) for s, e in pairs))
+    return Ladder.of(R, [seg(s, e) for s, e in pairs])
 
 
 class TestLadderMultisegment:
     def test_single_row(self):
-        assert ladder_multisegment(quad(1, 1)).rows == (seg(1, -1),)
+        assert ladder_multisegment(quad(1, 1)).segments() == (seg(1, -1),)
 
     def test_two_rows_half_integral(self):
         got = ladder_multisegment(quad("3/2", "1/2"))
-        assert set(got.rows) == {seg("1/2", "-3/2"), seg("3/2", "-1/2")}
+        assert set(got.segments()) == {seg("1/2", "-3/2"), seg("3/2", "-1/2")}
         # matches the (a,b) = (3,2) block
         assert to_quad(JordanBlock(R, 3, 2)) == quad("3/2", "1/2")
 
     def test_b_zero(self):
         got = ladder_multisegment(quad(1, 0))
-        assert set(got.rows) == {seg(0, -1), seg(1, 0)}
+        assert set(got.segments()) == {seg(0, -1), seg(1, 0)}
 
     def test_zero_quad(self):
-        assert ladder_multisegment(quad(0, 0)).rows == (seg(0, 0),)
+        assert ladder_multisegment(quad(0, 0)).segments() == (seg(0, 0),)
 
     def test_negative_zeta_rows_ascend(self):
         got = ladder_multisegment(quad("3/2", "1/2", -1))
-        assert set(got.rows) == {seg("-1/2", "3/2"), seg("-3/2", "1/2")}
+        assert set(got.segments()) == {seg("-1/2", "3/2"), seg("-3/2", "1/2")}
 
     def test_shape_and_support(self):
         for a in range(1, 6):
@@ -52,7 +52,7 @@ class TestLadderMultisegment:
                 L = ladder_multisegment(q)
                 assert len(L.rows) == (q.A - q.B).twice // 2 + 1
                 assert L.size == a * b
-                assert all(abs(x) <= q.A for r in L.rows for x in r.elements())
+                assert all(abs(x) <= q.A for r in L.segments() for x in r.elements())
 
     def test_ladder_condition_enforced(self):
         with pytest.raises(ValueError):
@@ -74,18 +74,18 @@ class TestTableauCols:
 class TestPeels:
     def test_peel_full_segment(self):
         got = peel_left(hi("3/2"), lad(("3/2", "-3/2")))
-        assert got.rows == (seg("1/2", "-3/2"),)
+        assert got.segments() == (seg("1/2", "-3/2"),)
 
     def test_peel_top_row_of_tableau(self):
         # the top row start zeta*B is the peelable point of a full tableau
         L = ladder_multisegment(quad("3/2", "1/2"))
         got = peel_left(hi("1/2"), L)
         assert got is not None
-        assert set(got.rows) == {seg("3/2", "-1/2"), seg("-1/2", "-3/2")}
+        assert set(got.segments()) == {seg("3/2", "-1/2"), seg("-1/2", "-3/2")}
 
     def test_peel_to_empty(self):
         got = peel_left(hi(0), lad((0, 0)))
-        assert got is not None and got.rows == ()
+        assert got is not None and got.segments() == ()
 
     def test_peel_missing_start(self):
         assert peel_left(hi(5), lad((1, 0))) is None
@@ -100,7 +100,7 @@ class TestPeels:
             for b in range(1, 6):
                 q = to_quad(JordanBlock(R, a, b))
                 L = ladder_multisegment(q)
-                points = {x.twice for r in L.rows for x in r.elements()}
+                points = {x.twice for r in L.segments() for x in r.elements()}
                 for t in sorted(points | {min(points) - 2, max(points) + 2}):
                     got = peel_left(HalfInt(t), L)
                     if HalfInt(t) == q.B * q.zeta:
@@ -112,13 +112,13 @@ class TestPeels:
         L = ladder_multisegment(quad("3/2", "1/2"))
         got = peel_right(hi("-1/2"), L)
         assert got is not None
-        assert set(got.rows) == {seg("1/2", "-3/2"), seg("3/2", "1/2")}
+        assert set(got.segments()) == {seg("1/2", "-3/2"), seg("3/2", "1/2")}
 
 
 class TestTruncLadder:
     def test_worked_example(self):
         got = trunc_ladder(quad(3, 0), hi(2))
-        assert set(got.rows) == {seg(1, -3), seg(3, -1)}
+        assert set(got.segments()) == {seg(1, -3), seg(3, -1)}
 
     def test_no_removal_at_C_equal_B_plus_one(self):
         base = ladder_multisegment(quad(3, 2))
@@ -151,7 +151,7 @@ class TestTruncLadder:
                     q = quad(A, B, zeta)
                     for C in range(B + 1, A + 1):
                         L = trunc_ladder(q, hi(C))
-                        pts = {x.twice for r in L.rows for x in r.elements()}
+                        pts = {x.twice for r in L.segments() for x in r.elements()}
                         peelable = {
                             t for t in pts if peel_left(HalfInt(t), L) is not None
                         }

@@ -172,3 +172,10 @@ class TestVerifyCancellation:
     def test_elementary_input_rejected(self):
         with pytest.raises(ValueError):
             verify_cancellation(Parameter([JordanBlock(R, 3, 1)]))
+
+    def test_no_applicable_check_is_refused(self):
+        # several blocks, leading expandable block with A = B+1: no one-sided
+        # check applies and the theta range ]B+1, A] is empty
+        psi = Parameter([JordanBlock(R, 3, 2), JordanBlock(R, 1, 1)])
+        with pytest.raises(ValueError, match="nothing to verify"):
+            verify_cancellation(psi)

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from multiseg import (CuspidalLabel, JordanBlock, Parameter, a_sign,
-                      beta_closed_form, beta_sign, eps_char, eval_at_c2,
-                      eval_at_z, j_psi, r_ratio_sign, theta_ratio_WU, z_sets,
-                      z_sign)
+from multiseg import (CuspidalLabel, IdentityError, JordanBlock, Parameter,
+                      a_sign, beta_closed_form, beta_sign, eps_char,
+                      eval_at_c2, eval_at_z, j_psi, r_ratio_sign,
+                      theta_ratio_WU, z_sets, z_sign)
 from multiseg.signs import BETA_CONVENTIONS
 
 from conftest import random_parameter
@@ -80,6 +80,13 @@ class TestZSign:
         psi = P((2, 1), (1, 4))
         assert z_sign(psi, "W") == -1
         assert z_sign(psi, "U") == 1
+
+    def test_odd_pair_set_raises(self, monkeypatch):
+        # a raise, not an assert, so that `python -O` keeps the check
+        import multiseg.signs
+        monkeypatch.setattr(multiseg.signs, "z_sets", lambda psi: ((), (), (None,)))
+        with pytest.raises(IdentityError, match="Z_U has odd cardinality"):
+            z_sign(P((2, 1), (1, 2)), "U")
 
     def test_empty_set_is_product(self):
         rng = random.Random(4)
