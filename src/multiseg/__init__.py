@@ -18,7 +18,8 @@ from .signs import (BETA_CONVENTIONS, SignChar, ZPair, a_sign,
                     beta_closed_form, beta_sign, eps_char, eval_at_c2,
                     eval_at_z, j_psi, r_ratio_sign, theta_ratio_WU, z_sets,
                     z_sign)
-from .wedges import (Composition, check_nilpotent, check_theta_sign,
-                     compositions, subset_complex_homology, xi_sign)
+from .wedges import (Composition, check_nilpotent, check_subset_homology,
+                     check_theta_sign, compositions, subset_complex_homology,
+                     xi_sign)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

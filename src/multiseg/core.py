@@ -74,7 +74,6 @@ class HalfInt:
 
 
 ZERO = HalfInt(0)
-ONE = HalfInt(2)
 
 
 class IdentityError(RuntimeError):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ZERO, ONE, CuspidalLabel, HalfInt
+from .core import ZERO, CuspidalLabel, HalfInt
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,9 +119,6 @@ class Parameter:
             seen.setdefault(b.rho.name, b.rho)
         return tuple(seen[k] for k in sorted(seen))
 
-    def jord_rho(self, rho: CuspidalLabel) -> tuple[JordanBlock, ...]:
-        return tuple(b for b in self.blocks if b.rho == rho)
-
     def quads(self) -> tuple[Quad, ...]:
         return tuple(to_quad(b) for b in self.blocks)
 
@@ -220,11 +217,9 @@ def dominate(psi: Parameter, rule: str = "minimal"):
             used[fam].append((cand, cand + width))
             Bt = HalfInt(cand)
             new_blocks.append(from_quad(Quad(q.rho, Bt + (q.A - q.B), Bt, q.zeta)))
-            d = Bt
-            while d > q.B:
-                for k in range(width // 2 + 1):
-                    peel.append((q.rho, (d + HalfInt.of(k)) * q.zeta))
-                d = d - ONE
+            for d in range(cand, q.B.twice, -2):
+                for k in range(0, width + 1, 2):
+                    peel.append((q.rho, HalfInt((d + k) * q.zeta)))
     return Parameter(new_blocks), tuple(peel)
 
 

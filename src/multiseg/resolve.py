@@ -3,8 +3,11 @@
 A block with A > B is expanded into the signed sum over C in ]B, A] of
   (-1)^(A-C)  <zB..-zC> x Jac^theta_{z(B+2)..zC}( rest x (A,B+2,z) ) x <zC..-zB>
 plus the closing term (-1)^[(A-B+1)/2] (rest x (A,B+1,z) x (B,B,z)).
-Middles are resolved recursively; every surviving word is a product of
-oriented segment atoms.
+_expand writes this sum once, with sub() giving the words of the smaller
+parameters.  The recursive resolver passes itself as sub, so every surviving
+word is a product of oriented segment atoms; resolve_block is one step of
+that resolver with the tableaux as leaves, so its truncated tableaux (the
+theta-peels of one tableau) stay ladder atoms.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 from .core import HalfInt
 from .groth import (GrothExpr, SegmentAtom, commutative_image, induce,
                     jac_left, jac_theta, jac_theta_seq, total_size)
-from .ladders import Ladder, ladder_multisegment, trunc_ladder
+from .ladders import Ladder, ladder_multisegment
 from .params import Parameter, Quad, _quad_sort_key, dominate, is_discrete_diagonal
 
 
@@ -25,36 +28,31 @@ class Resolution:
     trace: list = field(default_factory=list)
 
 
-def _sign(k: int) -> int:
-    return 1 if k % 2 == 0 else -1
-
-
-def _expand(q: Quad, middle, closing) -> GrothExpr:
-    """Signed sum over C in ]B, A] of (-1)^(A-C) <zB..-zC> x middle(C) x
-    <zC..-zB>, plus (-1)^[(A-B+1)/2] closing().  C is passed doubled; closing()
-    is called after the last middle(C), which keeps the resolver's trace order."""
+def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> GrothExpr:
+    """The expansion of block q next to the blocks rest; sub maps a tuple of
+    quads to a GrothExpr.  For A = B+1 the middle is sub(rest).  Each C
+    theta-peels the previous middle at zC, which is Jac^theta_{z(B+2)..zC}
+    of the first.  The closing sub call comes last, which keeps the
+    resolver's trace order."""
     rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
+    middle = sub(rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ()))
     out = GrothExpr.zero()
     for C in range(B + 2, A + 1, 2):
+        if C >= B + 4:
+            middle = jac_theta(rho, HalfInt(C * z), middle)
         left = GrothExpr.word((Ladder(rho, ((B * z, -C * z),)),))
         right = GrothExpr.word((Ladder(rho, ((C * z, -B * z),)),))
-        out = out + _sign((A - C) // 2) * induce([left, middle(C), right])
-    return out + _sign(((A - B) // 2 + 1) // 2) * closing()
+        out = out + (-1) ** ((A - C) // 2) * induce([left, middle, right])
+    closing = sub(rest + (Quad(rho, q.A, q.B + 1, z), Quad(rho, q.B, q.B, z)))
+    return out + (-1) ** (((A - B) // 2 + 1) // 2) * closing
 
 
 def resolve_block(q: Quad) -> GrothExpr:
-    """One-level expansion of a single block with A > B; truncated tableaux
-    are kept as ladder atoms."""
+    """One step of the resolver on a single block with A > B, with the
+    tableaux as leaves: the truncated tableaux come out as ladder atoms."""
     if q.A <= q.B:
         raise ValueError(f"resolve_block needs A > B, got {q}")
-
-    def middle(C):
-        if q.A < q.B + 2:
-            return GrothExpr.word(())
-        return GrothExpr.word((trunc_ladder(q, HalfInt(C)),))
-
-    return _expand(q, middle, lambda: _elementary_word(
-        (Quad(q.rho, q.A, q.B + 1, q.zeta), Quad(q.rho, q.B, q.B, q.zeta))))
+    return _expand(q, (), _elementary_word)
 
 
 def _elementary_word(quads) -> GrothExpr:
@@ -115,22 +113,11 @@ class _Resolver:
             q = pick(expandable, key=_quad_sort_key)
             rest = list(key)
             rest.remove(q)
-            rest = tuple(rest)
-            rho, A, B, z = q.rho, q.A, q.B, q.zeta
             self.trace.append({
-                "case": "A=B+1" if A == B + 1 else "A>B+1",
+                "case": "A=B+1" if q.A == q.B + 1 else "A>B+1",
                 "block": str(q),
             })
-
-            def middle(C):
-                if A < B + 2:
-                    return self.resolve(rest)
-                inner = self.resolve(rest + (Quad(rho, A, B + 2, z),))
-                peels = [(rho, HalfInt(x * z)) for x in range(B.twice + 4, C + 1, 2)]
-                return jac_theta_seq(peels, inner)
-
-            expr = _expand(q, middle, lambda: self.resolve(
-                rest + (Quad(rho, A, B + 1, z), Quad(rho, B, B, z))))
+            expr = _expand(q, tuple(rest), self.resolve)
         self.memo[key] = expr
         return expr
 
@@ -155,7 +142,7 @@ def resolve_general(psi: Parameter, rule: str = "minimal",
     return Resolution(psi, expr, trace)
 
 
-def verify_cancellation(psi: Parameter, C: HalfInt | None = None) -> dict:
+def verify_cancellation(psi: Parameter) -> dict:
     """Vanishing report for the expansion of psi's largest expandable block.
 
     Checks Jac_x for x outside [zeta B, zeta A], Jac_{x,x} for all support
@@ -169,9 +156,9 @@ def verify_cancellation(psi: Parameter, C: HalfInt | None = None) -> dict:
     if not expandable:
         raise ValueError("nothing to verify: all blocks are elementary")
     q = max(expandable, key=_quad_sort_key)
-    rho, A, B, z = q.rho, q.A, q.B, q.zeta
+    rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
     single = len(quads) == 1
-    cs = [HalfInt.of(C).twice] if C is not None else range(B.twice + 4, A.twice + 1, 2)
+    cs = range(B + 4, A + 1, 2)
     if single:
         expr = resolve_block(q)
     elif not is_discrete_diagonal(psi):
@@ -181,41 +168,33 @@ def verify_cancellation(psi: Parameter, C: HalfInt | None = None) -> dict:
                          "blocks present no check applies")
     else:
         expr = resolve_param(psi).expr
-    report = {"quad": str(q), "single_block": single, "checks": []}
+    checks = []
+
+    def check(kind, x, val, **extra):
+        checks.append({"kind": kind, "x": str(x), "vanishes": val.is_zero,
+                       **extra, "residual": len(val.terms)})
+
     if single:
         # the one-sided checks are block-local statements; with further
         # blocks present Jac_x legitimately survives at their base points
-        inside = {x * z for x in range(B.twice, A.twice + 1, 2)}
-        lo, hi = -(A.twice + 2), A.twice + 2
-        for t in range(lo, hi + 1, 2):
-            if t in inside:
-                continue
+        inside = {x * z for x in range(B, A + 1, 2)}
+        for t in range(-(A + 2), A + 3, 2):
+            if t not in inside:
+                x = HalfInt(t)
+                check("jac_outside", x, jac_left(rho, x, expr))
+        for t in range(-A, A + 1, 2):
             x = HalfInt(t)
-            val = jac_left(rho, x, expr)
-            report["checks"].append(
-                {"kind": "jac_outside", "x": str(x), "vanishes": val.is_zero,
-                 "residual": len(val.terms)}
-            )
-        for t in range(-A.twice, A.twice + 1, 2):
-            x = HalfInt(t)
-            val = jac_left(rho, x, jac_left(rho, x, expr))
-            report["checks"].append(
-                {"kind": "jac_xx", "x": str(x), "vanishes": val.is_zero,
-                 "residual": len(val.terms)}
-            )
+            check("jac_xx", x, jac_left(rho, x, jac_left(rho, x, expr)))
     for c in cs:
         x = HalfInt(c * z)
         val = jac_theta(rho, x, expr)
-        report["checks"].append(
-            {"kind": "jac_theta", "x": str(x), "vanishes": val.is_zero,
-             "vanishes_mod_commutative": not commutative_image(val),
-             "residual": len(val.terms)}
-        )
-    report["all_vanish"] = all(ch["vanishes"] for ch in report["checks"])
-    report["all_vanish_mod_commutative"] = all(
-        ch.get("vanishes_mod_commutative", ch["vanishes"]) for ch in report["checks"]
-    )
-    return report
+        check("jac_theta", x, val, vanishes_mod_commutative=not commutative_image(val))
+    return {
+        "quad": str(q), "single_block": single, "checks": checks,
+        "all_vanish": all(ch["vanishes"] for ch in checks),
+        "all_vanish_mod_commutative": all(
+            ch.get("vanishes_mod_commutative", ch["vanishes"]) for ch in checks),
+    }
 
 
 def degree_conserved(res: Resolution) -> bool:

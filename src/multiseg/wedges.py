@@ -103,7 +103,24 @@ def check_theta_sign(n: int) -> bool:
     return True
 
 
-def _rank(rows: list[dict[int, Fraction]], ncols: int) -> int:
+def check_subset_homology(size: int) -> bool:
+    """Homology dichotomy on delta = {1..size}: for all dm <= dpm <= delta the
+    subset complex is exact when dm is proper in dpm, and otherwise has a
+    single rank-1 group in degree |delta| - |dm|."""
+    delta = range(1, size + 1)
+    for dpm_size in range(size + 1):
+        for dpm in combinations(delta, dpm_size):
+            for dm_size in range(dpm_size + 1):
+                for dm in combinations(dpm, dm_size):
+                    ranks = subset_complex_homology(delta, dm, dpm)
+                    nonzero = {j: r for j, r in ranks.items() if r != 0}
+                    expected = {size - dm_size: 1} if dm == dpm else {}
+                    if nonzero != expected:
+                        return False
+    return True
+
+
+def _rank(rows: list[dict[int, Fraction]]) -> int:
     # Gaussian elimination over Q on sparse rows.
     rank = 0
     pivots: dict[int, dict[int, Fraction]] = {}
@@ -162,7 +179,7 @@ def subset_complex_homology(delta, dm, dpm) -> dict[int, int]:
                 Y = X - {m}
                 row[index[j + 1][Y]] = Fraction(_xi_from_cuts(cuts, m))
             rows.append(row)
-        boundary_rank[j] = _rank(rows, dims[j + 1])
+        boundary_rank[j] = _rank(rows)
     for j in sorted(layers):
         ranks[j] = dims[j] - boundary_rank[j] - boundary_rank.get(j - 1, 0)
     return ranks

@@ -158,3 +158,45 @@ class TestCommands:
             first = capsys.readouterr().out
             assert main(list(cmd)) == 0
             assert capsys.readouterr().out == first
+
+
+class TestErrorPaths:
+    """Each failure branch of a subcommand: empty stdout, one stderr line,
+    and the documented exit code."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(argv)
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        return code, cap.err
+
+    def test_signs_evaluations_disagree(self, guide_path, capsys, monkeypatch):
+        import multiseg.cli
+        monkeypatch.setattr(multiseg.cli, "eval_at_c2", lambda chi, psi: 0)
+        assert self._run(["signs", guide_path], capsys) == (
+            2, "identity failure: eps_W evaluations disagree\n")
+
+    def test_signs_ratio_inconsistent(self, guide_path, capsys, monkeypatch):
+        import multiseg.cli
+        monkeypatch.setattr(multiseg.cli, "theta_ratio_WU",
+                            lambda psi: {"consistent": False})
+        assert self._run(["signs", guide_path], capsys) == (
+            2, "identity failure: half-sum ratio != z_W*z_U\n")
+
+    def test_resolve_wrong_degree(self, guide_path, capsys, monkeypatch):
+        import multiseg.cli
+        monkeypatch.setattr(multiseg.cli, "degree_conserved", lambda res: False)
+        assert self._run(["resolve", "--json", guide_path], capsys) == (
+            2, "identity failure: a resolution term has the wrong degree\n")
+
+    def test_dual_not_involutive(self, capsys, monkeypatch):
+        import multiseg.cli
+        fixed = multiseg.cli.parse_multisegment("{[0..0]rho}")
+        monkeypatch.setattr(multiseg.cli, "mw_dual", lambda m: fixed)
+        assert self._run(["dual", "{[2..0]rho}"], capsys) == (
+            2, "identity failure: dual applied twice did not return the input\n")
+
+    def test_jacquet_unknown_cuspidal(self, guide_path, capsys):
+        assert self._run(["jacquet", guide_path, "--rho", "nope", "--x", "1"],
+                         capsys) == (1, "error: unknown cuspidal 'nope'\n")

@@ -5,8 +5,8 @@ import pytest
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock,
                       Parameter, Quad, SegmentAtom, degree_conserved,
                       distinguished_word, jac_left, jac_theta, resolve_block,
-                      resolve_general, resolve_param, to_quad, total_size,
-                      verify_cancellation)
+                      ladder_multisegment, resolve_general, resolve_param,
+                      to_quad, total_size, trunc_ladder, verify_cancellation)
 from multiseg.groth import commutative_image
 from multiseg.params import from_quad
 
@@ -60,6 +60,26 @@ class TestResolveBlock:
     def test_requires_A_above_B(self):
         with pytest.raises(ValueError):
             resolve_block(Quad(R, hi(1), hi(1), 1))
+
+    def test_matches_one_level_sum(self):
+        # The paper's one-level sum written out with HalfInt arithmetic,
+        # segment atoms and trunc_ladder, independently of the resolver.
+        one = hi(1)
+        for q in all_quads(10):
+            A, B, z = q.A, q.B, q.zeta
+            want = GrothExpr.zero()
+            C = B + one
+            while C <= A:
+                middle = (trunc_ladder(q, C),) if A >= B + hi(2) else ()
+                word = (atom(str(B * z), str(-(C * z))),) + middle + (
+                    atom(str(C * z), str(-(B * z))),)
+                want = want + (-1) ** ((A - C).twice // 2) * GrothExpr.word(word)
+                C = C + one
+            closing = (ladder_multisegment(Quad(R, A, B + one, z)),
+                       ladder_multisegment(Quad(R, B, B, z)))
+            k = ((A - B).twice // 2 + 1) // 2
+            want = want + (-1) ** k * GrothExpr.word(closing)
+            assert resolve_block(q) == want, str(q)
 
 
 class TestCancellation:

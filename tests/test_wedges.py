@@ -4,8 +4,8 @@ import random
 import pytest
 
 from multiseg import (Composition, CuspidalLabel, JordanBlock, Parameter,
-                      check_nilpotent, check_theta_sign, compositions, j_psi,
-                      subset_complex_homology, xi_sign)
+                      check_nilpotent, check_subset_homology, check_theta_sign,
+                      compositions, j_psi, subset_complex_homology, xi_sign)
 
 R = CuspidalLabel("rho")
 RD2 = CuspidalLabel("rho2", 2)
@@ -103,6 +103,23 @@ class TestSubsetComplex:
     def test_precondition(self):
         with pytest.raises(ValueError):
             subset_complex_homology({1, 2}, {3}, {3})
+
+    def test_check_subset_homology(self):
+        assert all(check_subset_homology(size) for size in range(1, 6))
+
+    def test_check_subset_homology_detects_wrong_rank(self, monkeypatch):
+        import multiseg.wedges
+        real = multiseg.wedges.subset_complex_homology
+
+        def off_by_one(delta, dm, dpm):
+            ranks = real(delta, dm, dpm)
+            if set(dm) == set(dpm):
+                j = len(set(delta)) - len(set(dm))
+                ranks[j] += 1
+            return ranks
+
+        monkeypatch.setattr(multiseg.wedges, "subset_complex_homology", off_by_one)
+        assert not check_subset_homology(3)
 
 
 class TestCrossModuleDegree:
