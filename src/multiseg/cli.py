@@ -184,11 +184,13 @@ def cmd_dual(args) -> int:
 
 def cmd_complex_check(args) -> int:
     n = args.n
+    if n < 1:
+        raise ValueError(f"--n must be at least 1, got {n}")
     results = []
     for k in range(2, n + 1):
         results.append(("nilpotency", k, check_nilpotent(k)))
         results.append(("theta-sign", k, check_theta_sign(k)))
-    size = max(min(n, 5), 0)
+    size = min(n, 5)
     results.append(("subset-homology", size, check_subset_homology(size)))
     payload = [
         {"suite": name, "n": k, "pass": ok} for name, k, ok in results

@@ -4,11 +4,16 @@ A word is an ordered list of atoms: ladders over one cuspidal label, a
 one-row ladder being an oriented segment socle.  Words are identified up to
 commutation of adjacent atoms whose supports are everywhere at distance
 >= 2 for a shared label; the canonical representative is the
-lexicographically least word of the commutation class.  Jac_x acts by the
-Leibniz rule over word factors.
+lexicographically least word of the commutation class, i.e. the least
+topological order of the word's dependence graph, built with a heap (the
+normal form of the trace monoid).  Atoms carry their size, sort key, row
+spans and hash, computed once.  Jac_x acts by the Leibniz rule over word
+factors, peeling each distinct atom once per call.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .core import CuspidalLabel, HalfInt, Multisegment
 from .ladders import Ladder, peel_rows
@@ -22,27 +27,41 @@ def SegmentAtom(rho: CuspidalLabel, start: HalfInt, end: HalfInt) -> Ladder:
 def _commute(a: Ladder, b: Ladder) -> bool:
     """True unless the labels agree and two rows in one coset of Z come
     within distance 1 of each other (doubled: a gap of at most 2)."""
-    if a.rho != b.rho:
+    if a.rho.name != b.rho.name:
         return True
-    for s, e in a.rows:
-        lo, hi = min(s, e), max(s, e)
-        for s2, e2 in b.rows:
-            if (s - s2) % 2 == 0 and min(s2, e2) <= hi + 2 and lo <= max(s2, e2) + 2:
+    for p, lo, hi in a.spans:
+        for p2, lo2, hi2 in b.spans:
+            if p == p2 and lo2 <= hi + 2 and lo <= hi2 + 2:
                 return False
     return True
 
 
 def canonical_word(atoms) -> tuple[Ladder, ...]:
-    """Lexicographically least representative of the commutation class."""
-    pending = [a for a in atoms if a.size > 0]
+    """Lexicographically least representative of the commutation class.
+
+    This is the least topological order of the dependence graph (an edge
+    j -> i for each linked pair j < i): repeatedly emit the source with the
+    least (sort key, position).  Equal keys mean equal atoms, which never
+    commute, so the position only orders atoms already ordered by an edge.
+    """
+    word = [a for a in atoms if a.size > 0]
+    after = [[] for _ in word]
+    blockers = [0] * len(word)
+    for i, a in enumerate(word):
+        for j in range(i):
+            if not _commute(word[j], a):
+                after[j].append(i)
+                blockers[i] += 1
+    ready = [(a.sort_key(), i) for i, a in enumerate(word) if not blockers[i]]
+    heapify(ready)
     out = []
-    while pending:
-        best = None
-        for i, a in enumerate(pending):
-            if all(_commute(pending[j], a) for j in range(i)):
-                if best is None or a.sort_key() < pending[best].sort_key():
-                    best = i
-        out.append(pending.pop(best))
+    while ready:
+        i = heappop(ready)[1]
+        out.append(word[i])
+        for j in after[i]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                heappush(ready, (word[j].sort_key(), j))
     return tuple(out)
 
 
@@ -136,16 +155,24 @@ def induce(parts) -> GrothExpr:
 
 
 def _jac(left: bool, rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
+    # Each distinct atom is peeled once per call; e's words keep every atom
+    # alive until the call returns, so id() is a sound key.  A peel is None
+    # (no row starts or ends at x), () (the atom vanished) or one ladder.
+    name, t = rho.name, x.twice
+    peels: dict[int, tuple[Ladder, ...] | None] = {}
+
     def peeled():
         for word, c in e.terms.items():
             for i, atom in enumerate(word):
-                if atom.rho != rho:
+                if atom.rho.name != name:
                     continue
-                rows = peel_rows(atom.rows, x.twice, left)
-                if rows is None:
-                    continue
-                w = word[:i] + ((Ladder(atom.rho, rows),) if rows else ()) + word[i + 1:]
-                yield canonical_word(w), c
+                key = id(atom)
+                if key not in peels:
+                    rows = peel_rows(atom.rows, t, left)
+                    peels[key] = rows and (Ladder(atom.rho, rows),)
+                new = peels[key]
+                if new is not None:
+                    yield canonical_word(word[:i] + new + word[i + 1:]), c
 
     return GrothExpr(peeled())
 

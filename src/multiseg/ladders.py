@@ -9,7 +9,7 @@ formal group; a segment is a one-row ladder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import CuspidalLabel, HalfInt, Multisegment, Segment
 from .params import Quad
@@ -45,18 +45,38 @@ def _body(rows) -> str:
     return ",".join(f"[{HalfInt(s)}..{HalfInt(e)}]" for s, e in rows)
 
 
+def _cached():
+    return field(init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True, slots=True)
 class Ladder:
     """Oriented rows as doubled (start, end) pairs in ladder order
     (descending start).  One row is the socle <rho||^start, ..., rho||^end>;
-    orientation is meaningful."""
+    orientation is meaningful.
+
+    Built once per atom and read in the word loops: size (times rho.d), the
+    sort key, one (coset parity, lo, hi) span per row, and the hash."""
 
     rho: CuspidalLabel
     rows: tuple[tuple[int, int], ...]
+    size: int = _cached()
+    spans: tuple[tuple[int, int, int], ...] = _cached()
+    _key: tuple = _cached()
+    _hash: int = _cached()
 
     def __post_init__(self):
-        if not _is_ladder(self.rows):
-            raise ValueError(f"rows do not satisfy the ladder condition: {_body(self.rows)}")
+        rows = self.rows
+        if not _is_ladder(rows):
+            raise ValueError(f"rows do not satisfy the ladder condition: {_body(rows)}")
+        put = object.__setattr__
+        put(self, "size", sum(abs(s - e) // 2 + 1 for s, e in rows) * self.rho.d)
+        put(self, "spans", tuple((s % 2, min(s, e), max(s, e)) for s, e in rows))
+        put(self, "_key", (self.rho.name, len(rows) > 1, rows))
+        put(self, "_hash", hash((self.rho, rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, rho: CuspidalLabel, segments) -> "Ladder":
@@ -69,12 +89,8 @@ class Ladder:
     def segments(self) -> tuple[Segment, ...]:
         return tuple(Segment(self.rho, HalfInt(s), HalfInt(e)) for s, e in self.rows)
 
-    @property
-    def size(self) -> int:
-        return sum(abs(s - e) // 2 + 1 for s, e in self.rows) * self.rho.d
-
     def sort_key(self):
-        return (self.rho.name, len(self.rows) > 1, self.rows)
+        return self._key
 
     def to_json(self):
         if len(self.rows) == 1:

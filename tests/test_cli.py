@@ -109,6 +109,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
 
+    def test_complex_check_n_1(self, capsys):
+        assert main(["complex-check", "--n", "1"]) == 0
+        assert capsys.readouterr().out == "subset-homology    n=1   PASS\n"
+
     def test_verify(self, tmp_path, capsys):
         p = tmp_path / "b.txt"
         p.write_text("cuspidal rho\nblock rho 3 3\n")
@@ -200,3 +204,8 @@ class TestErrorPaths:
     def test_jacquet_unknown_cuspidal(self, guide_path, capsys):
         assert self._run(["jacquet", guide_path, "--rho", "nope", "--x", "1"],
                          capsys) == (1, "error: unknown cuspidal 'nope'\n")
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_complex_check_n_below_1(self, n, capsys):
+        assert self._run(["complex-check", "--n", n], capsys) == (
+            1, f"error: --n must be at least 1, got {n}\n")

@@ -128,3 +128,40 @@ class TestDual:
         d = mw_dual(m)
         assert support(d) == support(m)
         assert mw_dual(d) == m
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["rho", "tau"]),
+                              st.integers(-6, 6), st.integers(-6, 6),
+                              st.booleans()), max_size=12))
+    def test_contragredient_symmetry(self, raw):
+        # reflecting every segment x -> -x commutes with the dual
+        def reflect(m):
+            return Multisegment(Segment(s.rho, -s.start, -s.end) for s in m)
+
+        m = Multisegment(
+            Segment(CuspidalLabel(name), HalfInt(2 * s + half), HalfInt(2 * e + half))
+            for name, s, e, half in raw
+        )
+        assert mw_dual(reflect(m)) == reflect(mw_dual(m))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1,
+                    max_size=6),
+           st.integers(2, 4), st.booleans())
+    def test_additive_over_unlinked_supports(self, raw1, raw2, gap, half):
+        # two families in one label and coset whose supports lie at distance
+        # >= 2 share no linked pair, so the dual splits over the sum
+        off = 1 if half else 0
+        m1 = [seg_twice(2 * s + off, 2 * e + off) for s, e in raw1]
+        top = max((max(s, e) for s, e in raw1), default=0)
+        shift = top + gap
+        m2 = [seg_twice(2 * (s + shift) + off, 2 * (e + shift) + off)
+              for s, e in raw2]
+        both = Multisegment(m1 + m2)
+        split = Multisegment([*mw_dual(Multisegment(m1)), *mw_dual(Multisegment(m2))])
+        assert mw_dual(both) == split
+
+
+def seg_twice(s, e, rho=RHO):
+    return Segment(rho, HalfInt(s), HalfInt(e))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from multiseg import (CuspidalLabel, GrothExpr, HalfInt, Ladder, Segment,
                       jac_right, jac_theta, jac_theta_seq,
                       ladder_multisegment, parse_multisegment, total_size)
 from multiseg.core import Multisegment
-from multiseg.groth import canonical_word, commutative_image
+from multiseg.groth import _commute, canonical_word, commutative_image
 
 R = CuspidalLabel("rho")
 D2 = CuspidalLabel("tau", 2)
@@ -103,6 +104,73 @@ class TestCanonicalWords:
             keys = [a.sort_key() for a in atoms]
             least = min(seen, key=lambda w: [keys[i] for i in w])
             assert canonical_word(atoms) == tuple(atoms[i] for i in least), atoms
+
+    def test_long_words_stay_in_the_commutation_class(self):
+        # Words of 7-10 atoms, too long to enumerate their class: check the
+        # properties that pin a normal form of the trace monoid, with
+        # linkage read from the printed rows alone.
+        rng = random.Random(17)
+        for _ in range(400):
+            atoms = [_random_atom(rng) for _ in range(rng.randint(7, 10))]
+            for _ in range(rng.randint(0, 2)):
+                atoms.insert(rng.randint(0, len(atoms)),
+                             Ladder(rng.choice([R, D2]), ()))
+            atoms = tuple(atoms)
+            out = canonical_word(atoms)
+            nonempty = [a for a in atoms if a.rows]
+            # (a) a permutation of the nonempty atoms
+            assert Counter(out) == Counter(nonempty), atoms
+            # (b) linked atoms keep their order; equal atoms are linked, so
+            # matching each output atom to the first unused equal input atom
+            # recovers the permutation
+            pts = [_points(a.to_json()) for a in nonempty]
+            linked = [[_linked(p, q) for q in pts] for p in pts]
+            unused = list(range(len(nonempty)))
+            pos = [0] * len(nonempty)
+            for k, a in enumerate(out):
+                i = next(i for i in unused if nonempty[i] == a)
+                unused.remove(i)
+                pos[i] = k
+            for i in range(len(nonempty)):
+                for j in range(i + 1, len(nonempty)):
+                    if linked[i][j]:
+                        assert pos[i] < pos[j], atoms
+            # (c) unchanged by swaps of adjacent commuting atoms
+            w = list(range(len(nonempty)))
+            for _ in range(30):
+                k = rng.randrange(len(w) - 1)
+                if not linked[w[k]][w[k + 1]]:
+                    w[k], w[k + 1] = w[k + 1], w[k]
+            assert canonical_word(tuple(nonempty[i] for i in w)) == out, atoms
+            # (d) idempotent
+            assert canonical_word(out) == out
+
+
+def _linked(p, q) -> bool:
+    """Linkage of two (label, doubled points) pairs from _points."""
+    return p[0] == q[0] and any(abs(x - y) in (0, 2) for x in p[1] for y in q[1])
+
+
+class TestCommute:
+    def test_matches_point_set_linkage(self):
+        rng = random.Random(23)
+        for _ in range(5000):
+            a, b = _random_atom(rng), _random_atom(rng)
+            want = not _linked(_points(a.to_json()), _points(b.to_json()))
+            assert _commute(a, b) == want, (a, b)
+            assert _commute(b, a) == want, (a, b)
+
+    def test_canonical_word_tests_each_pair_once(self, monkeypatch):
+        import multiseg.groth as groth
+        calls = []
+        monkeypatch.setattr(groth, "_commute",
+                            lambda a, b: calls.append(1) or _commute(a, b))
+        rng = random.Random(29)
+        for _ in range(200):
+            atoms = tuple(_random_atom(rng) for _ in range(rng.randint(0, 10)))
+            calls.clear()
+            groth.canonical_word(atoms)
+            assert len(calls) <= len(atoms) * (len(atoms) - 1) // 2
 
 
 def _random_atom(rng: random.Random):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Ladder,
@@ -59,6 +61,30 @@ class TestLadderMultisegment:
             lad((1, 0), (1, -1))  # repeated start
         with pytest.raises(ValueError):
             lad((2, -2), (1, -1))  # nested rows: orders disagree
+
+
+class TestAtomData:
+    """size, sort_key and hash against their definitions, for ladders built
+    from doubled rows and from segments."""
+
+    def test_random_ladders(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            name, d = rng.choice([("rho", 1), ("tau", 3)])
+            k = rng.randint(1, 4)
+            off = rng.randint(0, 1)
+            starts = sorted(rng.sample(range(-5, 6), k), reverse=True)
+            ends = sorted(rng.sample(range(-5, 6), k), reverse=True)
+            rows = tuple((2 * s + off, 2 * e + off) for s, e in zip(starts, ends))
+            direct = Ladder(CuspidalLabel(name, d), rows)
+            segs = [Segment(CuspidalLabel(name, d), HalfInt(s), HalfInt(e))
+                    for s, e in rows]
+            rng.shuffle(segs)
+            built = Ladder.of(CuspidalLabel(name, d), segs)
+            for L in (direct, built):
+                assert L.size == sum(len(s.elements()) for s in segs) * d
+                assert L.sort_key() == (name, k > 1, rows)
+            assert direct == built and hash(direct) == hash(built)
 
 
 class TestTableauCols:
