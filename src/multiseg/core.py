@@ -7,6 +7,7 @@ no floating point ever enters segment combinatorics.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 
@@ -204,55 +205,49 @@ def support(m: Multisegment) -> Counter:
     return out
 
 
-def _dual_one_family(segs: list[list[int]]) -> list[tuple[int, int]]:
-    # segs: [start2, end2] with start2 >= end2, all in one coset of 2Z.
-    # Greedy chain extraction: repeatedly peel a maximal staircase of starts
-    # x, x-1, ... where successive ends strictly decrease; within a step the
-    # candidate with maximal end is taken.  Each extracted chain is one
-    # segment of the dual.
-    pool = [[s, e] for s, e in segs]
+def _dual_one_family(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    # rows: (start2, end2) pairs with start2 >= end2, all in one coset of 2Z.
+    # Greedy chain extraction: from the largest start x, walk the starts
+    # x, x-1, ..., taking at each start the largest end below the previous
+    # one (strictly), and stop at the first start with none; each chain is
+    # one segment of the dual.  A row taken at start c and not used up goes
+    # back as (c-2, e) in doubled units; its end is the chain's new bound,
+    # so the strict test keeps it out of the rest of this chain.  Rows only
+    # move to lower starts, so x runs once down the support points.
+    ends: dict[int, list[int]] = {}
+    for s, e in sorted(rows):
+        ends.setdefault(s, []).append(e)
     out: list[tuple[int, int]] = []
-    while pool:
-        locked: set[int] = set()
-        x = max(s for s, _ in pool)
-        cur = x
-        prev_end: int | None = None
-        while True:
-            cands = [
-                i
-                for i, (s, e) in enumerate(pool)
-                if i not in locked and s == cur and (prev_end is None or e < prev_end)
-            ]
-            if not cands:
-                break
-            i = max(cands, key=lambda i: pool[i][1])
-            prev_end = pool[i][1]
-            if pool[i][0] == pool[i][1]:
-                pool.pop(i)
-                locked = {j if j < i else j - 1 for j in locked}
-            else:
-                pool[i][0] -= 2
-                locked.add(i)
-            cur -= 2
-        out.append((x, cur + 2))
+    for x in sorted({p for s, e in rows for p in range(e, s + 1, 2)}, reverse=True):
+        while ends.get(x):
+            c, prev = x, x + 2
+            while (bucket := ends.get(c)) and (i := bisect_left(bucket, prev)):
+                prev = bucket.pop(i - 1)
+                if prev < c:
+                    insort(ends.setdefault(c - 2, []), prev)
+                c -= 2
+            out.append((x, c + 2))
     return out
 
 
 def mw_dual(m: Multisegment) -> Multisegment:
-    """Dual multisegment via the classical greedy staircase-chain algorithm.
+    """Dual multisegment (Zelevinsky involution) by the Moeglin-Waldspurger
+    chain algorithm.
 
-    Applied independently to each (label, integrality-coset) family; the
-    result is an involution preserving cuspidal support.
+    Applied independently to each (label, integrality-coset) family, as one
+    walk over its segment ends bucketed by start: each chain step is one
+    bisection and one pop in a sorted bucket and removes one support point,
+    so the cost grows with the support points, not with points x rows.
+    The result is an involution preserving cuspidal support.
     """
-    families: dict[tuple[CuspidalLabel, int], list[list[int]]] = {}
+    families: dict[tuple[CuspidalLabel, int], list[tuple[int, int]]] = {}
     for seg in m:
-        s = seg.descending()
-        families.setdefault((s.rho, s.start.twice % 2), []).append(
-            [s.start.twice, s.end.twice]
+        families.setdefault((seg.rho, seg.start.twice % 2), []).append(
+            (seg.start.twice, seg.end.twice)
         )
     out = []
-    for (rho, _), segs in families.items():
-        for s2, e2 in _dual_one_family(segs):
+    for (rho, _), rows in families.items():
+        for s2, e2 in _dual_one_family(rows):
             out.append(Segment(rho, HalfInt(s2), HalfInt(e2)))
     return Multisegment(out)
 
@@ -260,21 +255,16 @@ def mw_dual(m: Multisegment) -> Multisegment:
 _SEG_RE = re.compile(r"\[\s*([^.\s\]]+)\s*\.\.\s*([^.\s\]]+)\s*\]\s*([A-Za-z_]\w*)?")
 
 
-def parse_multisegment(text: str, labels: dict[str, CuspidalLabel] | None = None,
-                       default: CuspidalLabel | None = None) -> Multisegment:
+def parse_multisegment(text: str) -> Multisegment:
     """Parse the text form `{[2..0]rho, [1..-1]rho}`.
 
-    Unlabelled segments fall back to `default` (a d=1 label named "rho" if
-    not supplied).  Known labels may be passed in; new names get fresh d=1
-    labels.
+    Every label name gets one d=1 label; unlabelled segments get "rho".
     """
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise ValueError("multisegment must be enclosed in { }")
     body = text[1:-1].strip()
-    labels = dict(labels or {})
-    if default is None:
-        default = labels.get("rho") or CuspidalLabel("rho")
+    labels: dict[str, CuspidalLabel] = {}
     segs = []
     pos = 0
     while pos < len(body):
@@ -285,11 +275,8 @@ def parse_multisegment(text: str, labels: dict[str, CuspidalLabel] | None = None
         m = _SEG_RE.match(body, pos)
         if not m:
             raise ValueError(f"bad segment syntax near: {body[pos:]!r}")
-        start, end, name = m.group(1), m.group(2), m.group(3)
-        if name is None:
-            rho = default
-        else:
-            rho = labels.setdefault(name, CuspidalLabel(name))
+        start, end, name = m.group(1), m.group(2), m.group(3) or "rho"
+        rho = labels.setdefault(name, CuspidalLabel(name))
         segs.append(Segment(rho, HalfInt.parse(start), HalfInt.parse(end)))
         pos = m.end()
         rest = body[pos:].lstrip()

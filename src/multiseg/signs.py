@@ -55,10 +55,17 @@ def z_sets(psi: Parameter):
     return tuple(Z), tuple(ZW), tuple(ZU)
 
 
+def _pair_set(psi: Parameter, which: str):
+    """The pair set Z_W, Z_U or Z named by `which` ("W", "U" or "")."""
+    if which not in ("W", "U", ""):
+        raise ValueError(f"pair set must be 'W', 'U' or '', not {which!r}")
+    Z, ZW, ZU = z_sets(psi)
+    return {"W": ZW, "U": ZU, "": Z}[which]
+
+
 def z_sign(psi: Parameter, which: str) -> int:
     """(-1)^(|Z_?|/2); the pair sets always have even cardinality."""
-    Z, ZW, ZU = z_sets(psi)
-    chosen = {"W": ZW, "U": ZU, "": Z}[which]
+    chosen = _pair_set(psi, which)
     if len(chosen) % 2:
         raise IdentityError(f"Z_{which or 'empty'} has odd cardinality {len(chosen)}")
     return 1 if (len(chosen) // 2) % 2 == 0 else -1
@@ -72,8 +79,7 @@ class SignChar:
 
 
 def eps_char(psi: Parameter, which: str) -> SignChar:
-    Z, ZW, ZU = z_sets(psi)
-    chosen = {"W": ZW, "U": ZU, "": Z}[which]
+    chosen = _pair_set(psi, which)
     counts = [0] * len(psi.blocks)
     for p in chosen:
         counts[p.first] += 1

@@ -8,6 +8,7 @@ from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Multisegment,
                       Segment, ladder_multisegment, mw_dual,
                       gl_multisegment, parse_multisegment, support,
                       tableau_cols, to_quad)
+from multiseg.core import _dual_one_family
 
 from conftest import random_multisegment
 
@@ -80,6 +81,12 @@ class TestMultisegmentCanonical:
         m = parse_multisegment("{[2..0]rho, [1..-1]rho}")
         assert m == ms((2, 0), (1, -1))
         assert parse_multisegment(str(m)) == m
+
+    def test_unlabelled_segments_get_rho(self):
+        m = parse_multisegment("{[1..0], [2..2]rho, [0..0]tau}")
+        assert m == Multisegment([seg(1, 0), seg(2, 2),
+                                  seg(0, 0, CuspidalLabel("tau"))])
+        assert all(s.rho.d == 1 for s in m)
 
     def test_parse_rejects_bad_syntax(self):
         with pytest.raises(ValueError):
@@ -165,3 +172,83 @@ class TestDual:
 
 def seg_twice(s, e, rho=RHO):
     return Segment(rho, HalfInt(s), HalfInt(e))
+
+
+def _scan_dual_one_family(segs: list[list[int]]) -> list[tuple[int, int]]:
+    # Reference: the earlier chain extraction, which rescans the whole pool
+    # at every chain step.
+    pool = [[s, e] for s, e in segs]
+    out: list[tuple[int, int]] = []
+    while pool:
+        locked: set[int] = set()
+        x = max(s for s, _ in pool)
+        cur = x
+        prev_end: int | None = None
+        while True:
+            cands = [
+                i
+                for i, (s, e) in enumerate(pool)
+                if i not in locked and s == cur and (prev_end is None or e < prev_end)
+            ]
+            if not cands:
+                break
+            i = max(cands, key=lambda i: pool[i][1])
+            prev_end = pool[i][1]
+            if pool[i][0] == pool[i][1]:
+                pool.pop(i)
+                locked = {j if j < i else j - 1 for j in locked}
+            else:
+                pool[i][0] -= 2
+                locked.add(i)
+            cur -= 2
+        out.append((x, cur + 2))
+    return out
+
+
+def _scan_dual(m: Multisegment) -> Multisegment:
+    families = {}
+    for s in m:
+        families.setdefault((s.rho, s.start.twice % 2), []).append(
+            [s.start.twice, s.end.twice])
+    return Multisegment(
+        Segment(rho, HalfInt(a), HalfInt(b))
+        for (rho, _), rows in families.items()
+        for a, b in _scan_dual_one_family(rows)
+    )
+
+
+@st.composite
+def _family(draw):
+    # one coset; a small span makes many rows share a start (bucket), and
+    # the tail repeats some rows verbatim
+    off = draw(st.integers(0, 1))
+    span = draw(st.integers(2, 10))
+    raw = draw(st.lists(st.tuples(st.integers(-span, span), st.integers(0, span)),
+                        max_size=30))
+    rows = [(2 * top + off, 2 * (top - n) + off) for top, n in raw]
+    return rows + rows[:draw(st.integers(0, 10))]
+
+
+class TestDualWalkAgainstScan:
+    @settings(max_examples=400, deadline=None)
+    @given(_family())
+    def test_family_matches_scan(self, rows):
+        assert sorted(_dual_one_family(rows)) == sorted(
+            _scan_dual_one_family([list(r) for r in rows]))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_large_two_label_multisegments(self, seed):
+        # 250 segments over two labels, mixed cosets and orientations
+        rng = random.Random(seed)
+        labels = [CuspidalLabel("rho"), CuspidalLabel("sigma")]
+        span, maxlen = 12 + 4 * (seed % 3), 8 + 2 * (seed % 2)
+        segs = []
+        for _ in range(250):
+            off = rng.randint(0, 1)
+            top = rng.randint(-span, span)
+            s, e = 2 * top + off, 2 * (top - rng.randint(0, maxlen)) + off
+            if rng.random() < 0.5:
+                s, e = e, s
+            segs.append(Segment(rng.choice(labels), HalfInt(s), HalfInt(e)))
+        m = Multisegment(segs)
+        assert mw_dual(m) == _scan_dual(m)

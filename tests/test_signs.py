@@ -19,6 +19,11 @@ def P(*abs_, rho=R):
 
 
 class TestZSets:
+    @pytest.mark.parametrize("fn", [z_sign, eps_char])
+    def test_unknown_pair_set_is_a_value_error(self, fn):
+        with pytest.raises(ValueError, match="'W', 'U' or ''"):
+            fn(P((2, 1), (1, 2)), "X")
+
     def test_guide_example(self):
         Z, ZW, ZU = z_sets(P((2, 1), (1, 2)))
         assert (len(Z), len(ZW), len(ZU)) == (2, 0, 2)
