@@ -11,6 +11,8 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 
+_HALF_RE = re.compile(r"(-?\d+)(/2)?")
+
 
 @dataclass(frozen=True, slots=True, order=True)
 class HalfInt:
@@ -29,13 +31,11 @@ class HalfInt:
     @staticmethod
     def parse(text: str) -> "HalfInt":
         text = text.strip()
-        m = re.fullmatch(r"(-?\d+)/2", text)
-        if m:
-            return HalfInt(int(m.group(1)))
-        m = re.fullmatch(r"-?\d+", text)
-        if m:
-            return HalfInt(2 * int(text))
-        raise ValueError(f"not a half-integer: {text!r}")
+        m = _HALF_RE.fullmatch(text)
+        if not m:
+            raise ValueError(f"not a half-integer: {text!r}")
+        n = int(m.group(1))
+        return HalfInt(n if m.group(2) else 2 * n)
 
     @property
     def is_integer(self) -> bool:
@@ -131,7 +131,7 @@ class Segment:
     end: HalfInt
 
     def __post_init__(self):
-        if not (self.start - self.end).is_integer:
+        if (self.start.twice - self.end.twice) % 2:
             raise ValueError(f"segment bounds differ by a non-integer: {self}")
 
     @property

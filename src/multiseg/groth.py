@@ -4,16 +4,16 @@ A word is an ordered list of atoms: ladders over one cuspidal label, a
 one-row ladder being an oriented segment socle.  Words are identified up to
 commutation of adjacent atoms whose supports are everywhere at distance
 >= 2 for a shared label; the canonical representative is the
-lexicographically least word of the commutation class, i.e. the least
-topological order of the word's dependence graph, built with a heap (the
-normal form of the trace monoid).  Atoms carry their size, sort key, row
+lexicographically least word of the commutation class (the normal form
+of the trace monoid), built by inserting one atom at a time into the
+normal form of the atoms before it.  Atoms carry their size, sort key, row
 spans and hash, computed once.  Jac_x acts by the Leibniz rule over word
 factors, peeling each distinct atom once per call.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from collections import Counter
 
 from .core import CuspidalLabel, HalfInt, Multisegment
 from .ladders import Ladder, peel_rows
@@ -39,29 +39,23 @@ def _commute(a: Ladder, b: Ladder) -> bool:
 def canonical_word(atoms) -> tuple[Ladder, ...]:
     """Lexicographically least representative of the commutation class.
 
-    This is the least topological order of the dependence graph (an edge
-    j -> i for each linked pair j < i): repeatedly emit the source with the
-    least (sort key, position).  Equal keys mean equal atoms, which never
-    commute, so the position only orders atoms already ordered by an edge.
+    Empty atoms are dropped.  Each other atom is a sink of the dependence
+    graph of the atoms so far, so it leaves their least topological order
+    as it was: it goes in just after its last linked atom, then past the
+    smaller atoms.  Equal keys mean equal atoms, which never commute, so
+    there are no ties.
     """
-    word = [a for a in atoms if a.size > 0]
-    after = [[] for _ in word]
-    blockers = [0] * len(word)
-    for i, a in enumerate(word):
-        for j in range(i):
-            if not _commute(word[j], a):
-                after[j].append(i)
-                blockers[i] += 1
-    ready = [(a.sort_key(), i) for i, a in enumerate(word) if not blockers[i]]
-    heapify(ready)
-    out = []
-    while ready:
-        i = heappop(ready)[1]
-        out.append(word[i])
-        for j in after[i]:
-            blockers[j] -= 1
-            if not blockers[j]:
-                heappush(ready, (word[j].sort_key(), j))
+    out: list[Ladder] = []
+    for a in atoms:
+        if not a.size:
+            continue
+        p = len(out)
+        while p and _commute(out[p - 1], a):
+            p -= 1
+        key = a.sort_key()
+        while p < len(out) and out[p].sort_key() < key:
+            p += 1
+        out.insert(p, a)
     return tuple(out)
 
 
@@ -209,7 +203,7 @@ def commutative_image(e: GrothExpr) -> dict:
     """
     acc: dict = {}
     for w, c in e.terms.items():
-        key = frozenset((a, w.count(a)) for a in set(w))
+        key = frozenset(Counter(w).items())
         acc[key] = acc.get(key, 0) + c
         if acc[key] == 0:
             del acc[key]

@@ -104,6 +104,10 @@ class TestCommands:
     def test_dual_bad_input(self, capsys):
         assert main(["dual", "[2..0"]) == 1
 
+    def test_dual_bad_bound(self, capsys):
+        assert main(["dual", "{[a..0]rho}"]) == 1
+        assert capsys.readouterr().err == "error: not a half-integer: 'a'\n"
+
     def test_complex_check(self, capsys):
         assert main(["complex-check", "--n", "4"]) == 0
         out = capsys.readouterr().out

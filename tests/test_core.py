@@ -41,6 +41,11 @@ class TestHalfInt:
         with pytest.raises(ValueError):
             HalfInt.parse("3/4")
 
+    def test_error_names_the_text(self):
+        with pytest.raises(ValueError) as exc:
+            HalfInt.parse(" 3/4 ")
+        assert str(exc.value) == "not a half-integer: '3/4'"
+
 
 class TestSegmentElements:
     def test_descending(self):

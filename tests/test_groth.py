@@ -1,13 +1,15 @@
 import random
 from collections import Counter
+from heapq import heapify, heappop, heappush
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiseg import (CuspidalLabel, GrothExpr, HalfInt, Ladder, Segment,
-                      SegmentAtom, gl_multisegment, induce, jac_left,
-                      jac_right, jac_theta, jac_theta_seq,
-                      ladder_multisegment, parse_multisegment, total_size)
+from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock, Ladder,
+                      Parameter, Segment, SegmentAtom, gl_multisegment,
+                      induce, jac_left, jac_right, jac_theta, jac_theta_seq,
+                      ladder_multisegment, parse_multisegment,
+                      resolve_general, total_size)
 from multiseg.core import Multisegment
 from multiseg.groth import _commute, canonical_word, commutative_image
 
@@ -146,6 +148,67 @@ class TestCanonicalWords:
             assert canonical_word(out) == out
 
 
+def _heap_canonical_word(atoms) -> tuple[Ladder, ...]:
+    """Reference: the least topological order of the dependence graph (an
+    edge j -> i for each linked pair j < i), by a Kahn sort on a heap."""
+    word = [a for a in atoms if a.size > 0]
+    after = [[] for _ in word]
+    blockers = [0] * len(word)
+    for i, a in enumerate(word):
+        for j in range(i):
+            if not _commute(word[j], a):
+                after[j].append(i)
+                blockers[i] += 1
+    ready = [(a.sort_key(), i) for i, a in enumerate(word) if not blockers[i]]
+    heapify(ready)
+    out = []
+    while ready:
+        i = heappop(ready)[1]
+        out.append(word[i])
+        for j in after[i]:
+            blockers[j] -= 1
+            if not blockers[j]:
+                heappush(ready, (word[j].sort_key(), j))
+    return tuple(out)
+
+
+@st.composite
+def _ladders(draw):
+    """Ladders of 0-3 rows (0: the empty ladder) over either label and
+    either coset of Z; one row may run either way."""
+    rho = draw(st.sampled_from([R, D2]))
+    off = draw(st.integers(0, 1))
+    k = draw(st.integers(0, 3))
+    pts = st.sets(st.integers(-4, 4), min_size=k, max_size=k)
+    starts = sorted(draw(pts), reverse=True)
+    ends = sorted(draw(pts), reverse=True)
+    return Ladder(rho, tuple((2 * s + off, 2 * e + off) for s, e in zip(starts, ends)))
+
+
+class TestInsertionAgainstHeapSort:
+    @settings(max_examples=600, deadline=None)
+    @given(st.lists(_ladders(), max_size=14))
+    def test_random_words(self, atoms):
+        assert canonical_word(atoms) == _heap_canonical_word(atoms)
+
+    def test_every_call_of_a_peel_chain(self, monkeypatch):
+        # {(3,3)x2,(2,2)}: 21 domination peel points over thousands of words.
+        import multiseg.groth as groth
+        seen = set()
+
+        def recording(atoms):
+            seen.add(tuple(atoms))
+            return canonical_word(atoms)
+
+        monkeypatch.setattr(groth, "canonical_word", recording)
+        psi = Parameter([JordanBlock(R, 3, 3), JordanBlock(R, 3, 3),
+                         JordanBlock(R, 2, 2)])
+        resolve_general(psi)
+        assert len(seen) > 1000
+        for atoms in seen:
+            assert canonical_word(atoms) == _heap_canonical_word(atoms), atoms
+
+
 def _linked(p, q) -> bool:
     """Linkage of two (label, doubled points) pairs from _points."""
     return p[0] == q[0] and any(abs(x - y) in (0, 2) for x in p[1] for y in q[1])
@@ -171,6 +234,19 @@ class TestCommute:
             calls.clear()
             groth.canonical_word(atoms)
             assert len(calls) <= len(atoms) * (len(atoms) - 1) // 2
+
+    def test_canonical_input_costs_one_test_per_atom(self, monkeypatch):
+        # A chain of atoms each linked to its left neighbour, with falling
+        # sort keys: the only order of its class, so already canonical.
+        import multiseg.groth as groth
+        calls = []
+        monkeypatch.setattr(groth, "_commute",
+                            lambda a, b: calls.append(1) or _commute(a, b))
+        for k in range(13):
+            atoms = tuple(atom(12 - i, 12 - i) for i in range(k))
+            calls.clear()
+            assert groth.canonical_word(atoms) == atoms
+            assert len(calls) == max(k - 1, 0)
 
 
 def _random_atom(rng: random.Random):
@@ -312,6 +388,13 @@ class TestCommutativeImage:
         e2 = word(atom(0, 0), atom(1, 0))
         assert e1 != e2
         assert commutative_image(e1) == commutative_image(e2)
+
+    def test_counts_multiplicity(self):
+        a, b = atom(1, 0), atom(5, 5)
+        e = word(a, b, a) - word(a, b) + 3 * word(b, a, a)
+        assert commutative_image(e) == {
+            frozenset({(a, 2), (b, 1)}): 4, frozenset({(a, 1), (b, 1)}): -1}
+
 
 
 def _random_ladder(rng: random.Random):
