@@ -32,11 +32,14 @@ def _load(path: str):
     return parse_parameter_file(text)
 
 
-def _emit(payload, as_json: bool, lines) -> None:
+def _emit(as_json: bool, payload, lines) -> None:
+    """Print one output form.  payload and lines are zero-argument callables
+    and only the selected one is called, so a command builds only what it
+    prints."""
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=False))
+        print(json.dumps(payload(), indent=2))
     else:
-        for line in lines:
+        for line in lines():
             print(line)
 
 
@@ -46,29 +49,25 @@ def _sgn(v: int) -> str:
 
 def cmd_classify(args) -> int:
     psi, _ = _load(args.file)
-    quads = [str(q) for q in psi.quads()]
-    payload = {
-        "n": psi.n,
-        "blocks": [str(b) for b in psi.blocks],
-        "quads": quads,
+    flags = {
         "elementary": is_elementary(psi),
         "discrete": is_discrete(psi),
         "discrete_diagonal": is_discrete_diagonal(psi),
     }
-    lines = [f"n = {psi.n}"]
-    lines += [f"block {b}  ->  quad {q}" for b, q in zip(payload["blocks"], quads)]
-    lines += [
-        f"elementary         : {payload['elementary']}",
-        f"discrete           : {payload['discrete']}",
-        f"discrete diagonal  : {payload['discrete_diagonal']}",
-    ]
     try:
-        payload["in_Psi_H"] = in_Psi_H(psi, psi.n)
-        lines.append(f"parity membership  : {payload['in_Psi_H']}")
+        parity = parity_text = in_Psi_H(psi, psi.n)
     except ValueError as exc:
-        payload["in_Psi_H"] = None
-        lines.append(f"parity membership  : not decidable ({exc})")
-    _emit(payload, args.json, lines)
+        parity, parity_text = None, f"not decidable ({exc})"
+    _emit(args.json,
+          lambda: {"n": psi.n, "blocks": [str(b) for b in psi.blocks],
+                   "quads": [str(q) for q in psi.quads()], **flags,
+                   "in_Psi_H": parity},
+          lambda: [f"n = {psi.n}",
+                   *(f"block {b}  ->  quad {q}" for b, q in zip(psi.blocks, psi.quads())),
+                   f"elementary         : {flags['elementary']}",
+                   f"discrete           : {flags['discrete']}",
+                   f"discrete diagonal  : {flags['discrete_diagonal']}",
+                   f"parity membership  : {parity_text}"])
     return OK
 
 
@@ -87,36 +86,30 @@ def cmd_signs(args) -> int:
             raise IdentityError(f"eps_{w or 'empty'} evaluations disagree")
     if not ratio["consistent"]:
         raise IdentityError("half-sum ratio != z_W*z_U")
-    payload = {
-        "blocks": [str(b) for b in psi.blocks],
-        "eps_W": list(chars["W"].values),
-        "eps_U": list(chars["U"].values),
-        "eps_empty": list(chars[""].values),
-        "z_W": zvals["W"],
-        "z_U": zvals["U"],
-        "z_empty": zvals[""],
-        "pairs": {"Z": len(Z), "Z_W": len(ZW), "Z_U": len(ZU)},
-        "theta_ratio_WU": ratio,
-        "evaluations": evals,
-    }
-    lines = [f"{'block':<14}{'eps_W':>6}{'eps_U':>6}{'eps_0':>6}"]
-    for i, b in enumerate(psi.blocks):
-        lines.append(
-            f"{str(b):<14}{_sgn(chars['W'].values[i]):>6}"
-            f"{_sgn(chars['U'].values[i]):>6}{_sgn(chars[''].values[i]):>6}"
-        )
-    lines += [
-        f"z_W = {_sgn(zvals['W'])}   z_U = {_sgn(zvals['U'])}   z_empty = {_sgn(zvals[''])}",
-        f"theta_W/theta_U ratio = {_sgn(ratio['ratio'])}"
-        f"  (half-sum {_sgn(ratio['half_sum'])},"
-        f" a-chain {_sgn(ratio['a_chain'])} [{ratio['convention']}])",
-    ]
-    for w in ("W", "U", ""):
-        lines.append(
-            f"eps_{w or 'empty'}: value at z = {_sgn(evals[w]['at_z'])},"
-            f" at c2 = {_sgn(evals[w]['at_c2'])}"
-        )
-    _emit(payload, args.json, lines)
+
+    def text():
+        yield f"{'block':<14}{'eps_W':>6}{'eps_U':>6}{'eps_0':>6}"
+        for i, b in enumerate(psi.blocks):
+            yield (f"{str(b):<14}{_sgn(chars['W'].values[i]):>6}"
+                   f"{_sgn(chars['U'].values[i]):>6}{_sgn(chars[''].values[i]):>6}")
+        yield f"z_W = {_sgn(zvals['W'])}   z_U = {_sgn(zvals['U'])}   z_empty = {_sgn(zvals[''])}"
+        yield (f"theta_W/theta_U ratio = {_sgn(ratio['ratio'])}"
+               f"  (half-sum {_sgn(ratio['half_sum'])},"
+               f" a-chain {_sgn(ratio['a_chain'])} [{ratio['convention']}])")
+        for w in ("W", "U", ""):
+            yield (f"eps_{w or 'empty'}: value at z = {_sgn(evals[w]['at_z'])},"
+                   f" at c2 = {_sgn(evals[w]['at_c2'])}")
+
+    _emit(args.json,
+          lambda: {"blocks": [str(b) for b in psi.blocks],
+                   "eps_W": list(chars["W"].values),
+                   "eps_U": list(chars["U"].values),
+                   "eps_empty": list(chars[""].values),
+                   "z_W": zvals["W"], "z_U": zvals["U"], "z_empty": zvals[""],
+                   "pairs": {"Z": len(Z), "Z_W": len(ZW), "Z_U": len(ZU)},
+                   "theta_ratio_WU": ratio,
+                   "evaluations": evals},
+          text)
     return OK
 
 
@@ -125,14 +118,10 @@ def cmd_resolve(args) -> int:
     res = resolve_general(psi, rule=args.rule)
     if not degree_conserved(res):
         raise IdentityError("a resolution term has the wrong degree")
-    payload = {
-        "psi": str(psi),
-        "n": psi.n,
-        "terms": res.expr.to_json(),
-        "trace": res.trace,
-    }
-    lines = [f"psi = {psi}  (n = {psi.n})", f"resolution = {res.expr}"]
-    _emit(payload, args.json, lines)
+    _emit(args.json,
+          lambda: {"psi": str(psi), "n": psi.n, "terms": res.expr.to_json(),
+                   "trace": res.trace},
+          lambda: [f"psi = {psi}  (n = {psi.n})", f"resolution = {res.expr}"])
     return OK
 
 
@@ -144,32 +133,23 @@ def cmd_jacquet(args) -> int:
     x = HalfInt.parse(args.x)
     expr = resolve_general(psi).expr
     out = jac_theta(rho, x, expr) if args.theta else jac_left(rho, x, expr)
-    payload = {
-        "psi": str(psi),
-        "op": "jac_theta" if args.theta else "jac_left",
-        "rho": args.rho,
-        "x": str(x),
-        "terms": out.to_json(),
-    }
-    _emit(payload, args.json, [f"{payload['op']}({x}) = {out}"])
+    op = "jac_theta" if args.theta else "jac_left"
+    _emit(args.json,
+          lambda: {"psi": str(psi), "op": op, "rho": args.rho, "x": str(x),
+                   "terms": out.to_json()},
+          lambda: [f"{op}({x}) = {out}"])
     return OK
 
 
 def cmd_dominate(args) -> int:
     psi, _ = _load(args.file)
     tilde, peel = dominate(psi, rule=args.rule)
-    payload = {
-        "psi": str(psi),
-        "psi_tilde": str(tilde),
-        "peel": [[rho.name, str(x)] for rho, x in peel],
-        "file": render_parameter_file(tilde),
-    }
-    lines = [
-        f"psi       = {psi}",
-        f"psi~      = {tilde}",
-        "peel list = (" + ", ".join(f"{r.name}:{x}" for r, x in peel) + ")",
-    ]
-    _emit(payload, args.json, lines)
+    _emit(args.json,
+          lambda: {"psi": str(psi), "psi_tilde": str(tilde),
+                   "peel": [[rho.name, str(x)] for rho, x in peel],
+                   "file": render_parameter_file(tilde)},
+          lambda: [f"psi       = {psi}", f"psi~      = {tilde}",
+                   "peel list = (" + ", ".join(f"{r.name}:{x}" for r, x in peel) + ")"])
     return OK
 
 
@@ -178,7 +158,7 @@ def cmd_dual(args) -> int:
     d = mw_dual(m)
     if mw_dual(d) != m:
         raise IdentityError("dual applied twice did not return the input")
-    _emit({"input": str(m), "dual": str(d)}, args.json, [str(d)])
+    _emit(args.json, lambda: {"input": str(m), "dual": str(d)}, lambda: [str(d)])
     return OK
 
 
@@ -192,22 +172,24 @@ def cmd_complex_check(args) -> int:
         results.append(("theta-sign", k, check_theta_sign(k)))
     size = min(n, 5)
     results.append(("subset-homology", size, check_subset_homology(size)))
-    payload = [
-        {"suite": name, "n": k, "pass": ok} for name, k, ok in results
-    ]
-    lines = [f"{name:<18} n={k:<3} {'PASS' if ok else 'FAIL'}" for name, k, ok in results]
-    _emit(payload, args.json, lines)
+    _emit(args.json,
+          lambda: [{"suite": name, "n": k, "pass": ok} for name, k, ok in results],
+          lambda: [f"{name:<18} n={k:<3} {'PASS' if ok else 'FAIL'}"
+                   for name, k, ok in results])
     return OK if all(ok for _, _, ok in results) else BAD_IDENTITY
 
 
 def cmd_verify(args) -> int:
     psi, _ = _load(args.file)
     report = verify_cancellation(psi)
-    lines = [f"expansion of {report['quad']}"]
-    for ch in report["checks"]:
-        status = "vanishes" if ch["vanishes"] else f"RESIDUAL({ch['residual']})"
-        lines.append(f"{ch['kind']:<12} x={ch['x']:<6} {status}")
-    _emit(report, args.json, lines)
+
+    def text():
+        yield f"expansion of {report['quad']}"
+        for ch in report["checks"]:
+            status = "vanishes" if ch["vanishes"] else f"RESIDUAL({ch['residual']})"
+            yield f"{ch['kind']:<12} x={ch['x']:<6} {status}"
+
+    _emit(args.json, lambda: report, text)
     return OK if report["all_vanish"] else BAD_IDENTITY
 
 

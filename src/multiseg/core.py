@@ -252,7 +252,8 @@ def mw_dual(m: Multisegment) -> Multisegment:
     return Multisegment(out)
 
 
-_SEG_RE = re.compile(r"\[\s*([^.\s\]]+)\s*\.\.\s*([^.\s\]]+)\s*\]\s*([A-Za-z_]\w*)?")
+_SEG_RE = re.compile(r"\s*\[\s*([^.\s\]]+)\s*\.\.\s*([^.\s\]]+)\s*\]\s*([A-Za-z_]\w*)?")
+_SEP_RE = re.compile(r"\s*(?:,|\Z)")
 
 
 def parse_multisegment(text: str) -> Multisegment:
@@ -268,22 +269,14 @@ def parse_multisegment(text: str) -> Multisegment:
     segs = []
     pos = 0
     while pos < len(body):
-        while pos < len(body) and body[pos].isspace():
-            pos += 1
-        if pos >= len(body):
-            break
         m = _SEG_RE.match(body, pos)
         if not m:
-            raise ValueError(f"bad segment syntax near: {body[pos:]!r}")
+            raise ValueError(f"bad segment syntax near: {body[pos:].lstrip()!r}")
         start, end, name = m.group(1), m.group(2), m.group(3) or "rho"
         rho = labels.setdefault(name, CuspidalLabel(name))
         segs.append(Segment(rho, HalfInt.parse(start), HalfInt.parse(end)))
-        pos = m.end()
-        rest = body[pos:].lstrip()
-        if rest.startswith(","):
-            pos = len(body) - len(rest) + 1
-        elif rest:
-            raise ValueError(f"expected ',' between segments near: {rest!r}")
-        else:
-            break
+        sep = _SEP_RE.match(body, m.end())
+        if not sep:
+            raise ValueError(f"expected ',' between segments near: {body[m.end():].lstrip()!r}")
+        pos = sep.end()
     return Multisegment(segs)

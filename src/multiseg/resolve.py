@@ -55,6 +55,18 @@ def resolve_block(q: Quad) -> GrothExpr:
     return _expand(q, (), _elementary_word)
 
 
+def _leading(quads, pick=max):
+    """The expandable block (A > B) that pick selects by _quad_sort_key, or
+    None when every block is elementary, and the other quads in order."""
+    expandable = [q for q in quads if q.A > q.B]
+    if not expandable:
+        return None, list(quads)
+    q = pick(expandable, key=_quad_sort_key)
+    rest = list(quads)
+    rest.remove(q)
+    return q, rest
+
+
 def _elementary_word(quads) -> GrothExpr:
     ordered = sorted(quads, key=_quad_sort_key, reverse=True)
     return GrothExpr.word(ladder_multisegment(q) for q in ordered)
@@ -71,15 +83,12 @@ def distinguished_word(psi: Parameter):
     """
 
     def build(quads):
-        expandable = [q for q in quads if q.A > q.B]
-        if not expandable:
+        q, rest = _leading(quads)
+        if q is None:
             ordered = sorted(quads, key=_quad_sort_key, reverse=True)
             return tuple(
                 SegmentAtom(q.rho, q.B * q.zeta, -(q.A * q.zeta)) for q in ordered
             )
-        q = max(expandable, key=_quad_sort_key)
-        rest = list(quads)
-        rest.remove(q)
         if q.A >= q.B + 2:
             rest.append(Quad(q.rho, q.A - 1, q.B + 1, q.zeta))
         inner = build(tuple(rest))
@@ -96,7 +105,7 @@ class _Resolver:
     def __init__(self, block_choice: str = "largest"):
         if block_choice not in ("largest", "smallest"):
             raise ValueError(f"unknown block choice {block_choice!r}")
-        self.block_choice = block_choice
+        self.pick = max if block_choice == "largest" else min
         self.memo: dict = {}
         self.trace: list = []
 
@@ -104,15 +113,11 @@ class _Resolver:
         key = tuple(sorted(quads, key=_quad_sort_key))
         if key in self.memo:
             return self.memo[key]
-        expandable = [q for q in key if q.A > q.B]
-        if not expandable:
+        q, rest = _leading(key, self.pick)
+        if q is None:
             self.trace.append({"case": "elementary", "blocks": [str(q) for q in key]})
             expr = _elementary_word(key)
         else:
-            pick = max if self.block_choice == "largest" else min
-            q = pick(expandable, key=_quad_sort_key)
-            rest = list(key)
-            rest.remove(q)
             self.trace.append({
                 "case": "A=B+1" if q.A == q.B + 1 else "A>B+1",
                 "block": str(q),
@@ -131,11 +136,10 @@ def resolve_param(psi: Parameter, block_choice: str = "largest") -> Resolution:
     return Resolution(psi, expr, r.trace)
 
 
-def resolve_general(psi: Parameter, rule: str = "minimal",
-                    block_choice: str = "largest") -> Resolution:
+def resolve_general(psi: Parameter, rule: str = "minimal") -> Resolution:
     """Dominate, resolve the dominating parameter, then peel back down."""
     psi_t, peel = dominate(psi, rule=rule)
-    res = resolve_param(psi_t, block_choice)
+    res = resolve_param(psi_t)
     expr = jac_theta_seq(peel, res.expr)
     trace = [{"case": "dominate", "rule": rule, "psi_tilde": str(psi_t),
               "peel": [[rho.name, str(x)] for rho, x in peel]}] + res.trace
@@ -152,10 +156,9 @@ def verify_cancellation(psi: Parameter) -> dict:
     (several blocks and A = B+1), rather than report a vacuous pass.
     """
     quads = psi.quads()
-    expandable = [q for q in quads if q.A > q.B]
-    if not expandable:
+    q, _ = _leading(quads)
+    if q is None:
         raise ValueError("nothing to verify: all blocks are elementary")
-    q = max(expandable, key=_quad_sort_key)
     rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
     single = len(quads) == 1
     cs = range(B + 4, A + 1, 2)

@@ -213,3 +213,53 @@ class TestErrorPaths:
     def test_complex_check_n_below_1(self, n, capsys):
         assert self._run(["complex-check", "--n", n], capsys) == (
             1, f"error: --n must be at least 1, got {n}\n")
+
+
+class TestRenderOnlyWhatIsPrinted:
+    """Each subcommand builds only the output form it prints: the text form
+    never calls `to_json`, `--json` never renders a `GrothExpr` as text, and
+    `dual` renders its input only for the `--json` payload."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from collections import Counter
+
+        from multiseg.core import Multisegment
+        from multiseg.groth import GrothExpr
+        seen = Counter()
+
+        def count(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(self, *args):
+                seen[f"{cls.__name__}.{name}"] += 1
+                return original(self, *args)
+            monkeypatch.setattr(cls, name, wrapper)
+
+        count(GrothExpr, "__str__")
+        count(GrothExpr, "to_json")
+        count(Multisegment, "__str__")
+        return seen
+
+    @pytest.mark.parametrize("cmd", [
+        ["resolve"], ["jacquet", "--rho", "rho", "--x", "1/2"],
+        ["jacquet", "--rho", "rho", "--x", "3/2", "--theta"],
+    ], ids=["resolve", "jacquet", "jacquet-theta"])
+    def test_groth_expr_rendered_once(self, cmd, guide_path, calls, capsys):
+        assert main(cmd + [guide_path]) == 0
+        assert capsys.readouterr().out
+        assert calls == {"GrothExpr.__str__": 1}
+        calls.clear()
+        assert main(cmd + ["--json", guide_path]) == 0
+        json.loads(capsys.readouterr().out)
+        assert calls == {"GrothExpr.to_json": 1}
+
+    def test_dual_renders_input_only_for_json(self, calls, capsys):
+        assert main(["dual", "{[2..0]rho}"]) == 0
+        assert capsys.readouterr().out == "{[2..2]rho, [1..1]rho, [0..0]rho}\n"
+        assert calls == {"Multisegment.__str__": 1}
+        calls.clear()
+        assert main(["dual", "--json", "{[2..0]rho}"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "input": "{[2..0]rho}", "dual": "{[2..2]rho, [1..1]rho, [0..0]rho}"}
+        assert calls == {"Multisegment.__str__": 2}

@@ -99,6 +99,26 @@ class TestMultisegmentCanonical:
         with pytest.raises(ValueError):
             parse_multisegment("{[2..0]rho [1..1]rho}")
 
+    @pytest.mark.parametrize("text, expected", [
+        ("{[1..0]rho,}", "{[1..0]rho}"),
+        ("{}", "{}"),
+        ("{ }", "{}"),
+        ("{,}", "error: bad segment syntax near: ','"),
+        ("{[1..0]rho [2..1]rho}",
+         "error: expected ',' between segments near: '[2..1]rho'"),
+        ("{[1..0] rho , [2..1]}", "{[2..1]rho, [1..0]rho}"),
+        ("{[1..0]rho,,[2..1]rho}", "error: bad segment syntax near: ',[2..1]rho'"),
+        ("{[1.5..0]rho}", "error: bad segment syntax near: '[1.5..0]rho'"),
+        ("{[1..0]rho}x", "error: multisegment must be enclosed in { }"),
+        ("{ [1..0]rho , }", "{[1..0]rho}"),
+    ])
+    def test_parse_separators_and_error_text(self, text, expected):
+        try:
+            got = str(parse_multisegment(text))
+        except ValueError as exc:
+            got = f"error: {exc}"
+        assert got == expected
+
 
 class TestDual:
     def test_steinberg_to_speh(self):
