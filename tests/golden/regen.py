@@ -32,6 +32,7 @@ FILES = {
     "block33": ("rho", "2"),
     "twolabel": ("r1", "1"),
     "mult": ("rho", "1"),
+    "escape": ('r"\\é', "0"),
 }
 
 
