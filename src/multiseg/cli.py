@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core import HalfInt, IdentityError, mw_dual, parse_multisegment
-from .groth import jac_left, jac_theta
+from .groth import GrothExpr, jac_left, jac_theta
 from .paramfile import ParamFileError, parse_parameter_file, render_parameter_file
 from .params import (dominate, in_Psi_H, is_discrete, is_discrete_diagonal,
                      is_elementary)
@@ -37,10 +38,39 @@ def _emit(as_json: bool, payload, lines) -> None:
     and only the selected one is called, so a command builds only what it
     prints."""
     if as_json:
-        print(json.dumps(payload(), indent=2))
+        print(_dumps(payload()))
     else:
         for line in lines():
             print(line)
+
+
+def _dumps(payload) -> str:
+    """`json.dumps(payload, indent=2)`, where a `GrothExpr` value of a dict
+    payload stands for its `to_json()` and is written by `_terms`."""
+    if not isinstance(payload, dict) or not payload:
+        return json.dumps(payload, indent=2)
+
+    def value(v):
+        if isinstance(v, GrothExpr):
+            return _terms(v)
+        return json.dumps(v, indent=2).replace("\n", "\n  ")
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {value(v)}" for k, v in payload.items()) + "\n}"
+
+
+def _terms(expr: GrothExpr) -> str:
+    """`expr.to_json()` as `_dumps` writes it one level deep.  Each distinct
+    atom is encoded once per call; its text is reused at every occurrence."""
+    terms = expr.sorted_terms()
+    if not terms:
+        return "[]"
+    atoms = {a: json.dumps(a.to_json(), indent=2).replace("\n", "\n        ")
+             for a in set().union(*expr.terms)}
+    sep = ",\n        "
+    blocks = []
+    for w, c in terms:
+        word = f"[\n        {sep.join(map(atoms.__getitem__, w))}\n      ]" if w else "[]"
+        blocks.append(f'{{\n      "coeff": {c},\n      "word": {word}\n    }}')
+    return "[\n    " + ",\n    ".join(blocks) + "\n  ]"
 
 
 def _sgn(v: int) -> str:
@@ -119,7 +149,7 @@ def cmd_resolve(args) -> int:
     if not degree_conserved(res):
         raise IdentityError("a resolution term has the wrong degree")
     _emit(args.json,
-          lambda: {"psi": str(psi), "n": psi.n, "terms": res.expr.to_json(),
+          lambda: {"psi": str(psi), "n": psi.n, "terms": res.expr,
                    "trace": res.trace},
           lambda: [f"psi = {psi}  (n = {psi.n})", f"resolution = {res.expr}"])
     return OK
@@ -136,7 +166,7 @@ def cmd_jacquet(args) -> int:
     op = "jac_theta" if args.theta else "jac_left"
     _emit(args.json,
           lambda: {"psi": str(psi), "op": op, "rho": args.rho, "x": str(x),
-                   "terms": out.to_json()},
+                   "terms": out},
           lambda: [f"{op}({x}) = {out}"])
     return OK
 
@@ -244,7 +274,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`): point stdout at devnull
+        # so that the interpreter's own flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BAD_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT

@@ -131,9 +131,11 @@ class GrothExpr:
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
+        terms = self.sorted_terms()
+        atoms = {a: str(a) for a in set().union(*self.terms)}
         parts = []
-        for w, c in self.sorted_terms():
-            body = "*".join(str(a) for a in w) if w else "1"
+        for w, c in terms:
+            body = "*".join(map(atoms.__getitem__, w)) if w else "1"
             parts.append(f"{'+' if c > 0 else '-'}{abs(c) if abs(c) != 1 else ''}{body}")
         return " ".join(parts)
 

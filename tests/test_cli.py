@@ -1,10 +1,39 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from multiseg import parse_parameter_file, render_parameter_file
-from multiseg.cli import main
+import multiseg
+from multiseg import (CuspidalLabel, GrothExpr, HalfInt, Ladder, Quad,
+                      parse_parameter_file, render_parameter_file,
+                      resolve_block)
+from multiseg.cli import _dumps, main
+from multiseg.groth import canonical_word
 from multiseg.paramfile import ParamFileError
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+# label names that need JSON escapes (quote, backslash, non-ASCII) next to a
+# plain one, so that random words mix labels
+_LABELS = (CuspidalLabel('r"\\é'), CuspidalLabel("rho"), CuspidalLabel("τ", 2))
+
+
+@st.composite
+def _atoms(draw):
+    """Ladders of 1-3 rows over any label and either coset of Z; one row
+    may run either way."""
+    rho = draw(st.sampled_from(_LABELS))
+    off = draw(st.integers(0, 1))
+    k = draw(st.integers(1, 3))
+    pts = st.sets(st.integers(-4, 4), min_size=k, max_size=k)
+    starts = sorted(draw(pts), reverse=True)
+    ends = sorted(draw(pts), reverse=True)
+    return Ladder(rho, tuple((2 * s + off, 2 * e + off) for s, e in zip(starts, ends)))
 
 GUIDE_FILE = """\
 # the four-dimensional worked example
@@ -217,28 +246,31 @@ class TestErrorPaths:
 
 class TestRenderOnlyWhatIsPrinted:
     """Each subcommand builds only the output form it prints: the text form
-    never calls `to_json`, `--json` never renders a `GrothExpr` as text, and
-    `dual` renders its input only for the `--json` payload."""
+    never calls `to_json`, `--json` writes a `GrothExpr` through one
+    `_terms` call and never through `to_json` or `str()`, and `dual`
+    renders its input only for the `--json` payload."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         from collections import Counter
 
+        import multiseg.cli
         from multiseg.core import Multisegment
         from multiseg.groth import GrothExpr
         seen = Counter()
 
-        def count(cls, name):
-            original = getattr(cls, name)
+        def count(owner, name, key):
+            original = getattr(owner, name)
 
-            def wrapper(self, *args):
-                seen[f"{cls.__name__}.{name}"] += 1
-                return original(self, *args)
-            monkeypatch.setattr(cls, name, wrapper)
+            def wrapper(*args):
+                seen[key] += 1
+                return original(*args)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        count(GrothExpr, "__str__")
-        count(GrothExpr, "to_json")
-        count(Multisegment, "__str__")
+        count(GrothExpr, "__str__", "GrothExpr.__str__")
+        count(GrothExpr, "to_json", "GrothExpr.to_json")
+        count(Multisegment, "__str__", "Multisegment.__str__")
+        count(multiseg.cli, "_terms", "cli._terms")
         return seen
 
     @pytest.mark.parametrize("cmd", [
@@ -252,7 +284,7 @@ class TestRenderOnlyWhatIsPrinted:
         calls.clear()
         assert main(cmd + ["--json", guide_path]) == 0
         json.loads(capsys.readouterr().out)
-        assert calls == {"GrothExpr.to_json": 1}
+        assert calls == {"cli._terms": 1}
 
     def test_dual_renders_input_only_for_json(self, calls, capsys):
         assert main(["dual", "{[2..0]rho}"]) == 0
@@ -263,3 +295,76 @@ class TestRenderOnlyWhatIsPrinted:
         assert json.loads(capsys.readouterr().out) == {
             "input": "{[2..0]rho}", "dual": "{[2..2]rho, [1..1]rho, [0..0]rho}"}
         assert calls == {"Multisegment.__str__": 2}
+
+
+class TestJsonRendererOracle:
+    """`cli._dumps` writes a `GrothExpr` value itself.  Its output must be
+    the bytes of `json.dumps(indent=2)` over the payload with the
+    expression replaced by `to_json()`."""
+
+    @staticmethod
+    def _reference(payload):
+        return json.dumps({k: v.to_json() if isinstance(v, GrothExpr) else v
+                           for k, v in payload.items()}, indent=2)
+
+    def _check(self, expr):
+        for payload in ({"psi": "{(rho,1,1)}", "n": 2, "terms": expr,
+                         "trace": [{"case": "elementary", "blocks": []}]},
+                        {"op": "jac_left", "x": "-1/2", "terms": expr}):
+            assert _dumps(payload) == self._reference(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.lists(_atoms(), max_size=5),
+                              st.integers(-7, 7).filter(bool)), max_size=6))
+    def test_random_expressions(self, pairs):
+        self._check(GrothExpr((canonical_word(w), c) for w, c in pairs))
+
+    def test_zero_and_empty_word(self):
+        self._check(GrothExpr.zero())
+        self._check(GrothExpr.word(()))
+        self._check(-3 * GrothExpr.word(()))
+
+    @pytest.mark.parametrize("A2, B2, zeta", [(6, 0, 1), (5, 1, -1), (8, 2, 1)])
+    def test_ladder_atoms_of_resolve_block(self, A2, B2, zeta):
+        expr = resolve_block(Quad(_LABELS[0], HalfInt(A2), HalfInt(B2), zeta))
+        assert any(len(a.rows) > 1 for w in expr.terms for a in w)
+        self._check(expr)
+        self._check(-2 * expr)
+
+    @pytest.mark.parametrize("case", [c for c in GOLDEN_CASES
+                                      if c["argv"][0] in ("resolve", "jacquet")
+                                      and "--json" in c["argv"]],
+                             ids=lambda c: c["name"])
+    def test_golden_payloads(self, case, monkeypatch, capsys):
+        import multiseg.cli
+        payloads = []
+
+        def recording(payload):
+            payloads.append(payload)
+            return _dumps(payload)
+        monkeypatch.setattr(multiseg.cli, "_dumps", recording)
+        monkeypatch.chdir(GOLDEN)
+        assert main(list(case["argv"])) == case["exit"]
+        (payload,) = payloads
+        assert isinstance(payload["terms"], GrothExpr)
+        assert capsys.readouterr().out == self._reference(payload) + "\n"
+
+
+class TestClosedPipe:
+    """A reader that closes stdout early ends the run quietly with exit 1."""
+
+    @pytest.mark.parametrize("argv", [["resolve", "mult.txt"],
+                                      ["resolve", "--json", "mult.txt"]],
+                             ids=["text", "json"])
+    def test_no_traceback(self, argv):
+        r, w = os.pipe()
+        os.close(r)
+        env = {**os.environ, "PYTHONPATH": str(Path(multiseg.__file__).parents[1])}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "multiseg.cli", *argv],
+                                  stdout=w, stderr=subprocess.PIPE, text=True,
+                                  cwd=GOLDEN, env=env, timeout=60)
+        finally:
+            os.close(w)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (1, "")
