@@ -14,10 +14,9 @@ from .params import (JordanBlock, Parameter, Quad, block_order_cmp,
 from .resolve import (Resolution, degree_conserved, distinguished_word,
                       resolve_block, resolve_general, resolve_param,
                       verify_cancellation)
-from .signs import (BETA_CONVENTIONS, SignChar, ZPair, a_sign,
-                    beta_closed_form, beta_sign, eps_char, eval_at_c2,
-                    eval_at_z, j_psi, r_ratio_sign, theta_ratio_WU, z_sets,
-                    z_sign)
+from .signs import (BETA_CONVENTIONS, a_sign, beta_closed_form, beta_sign,
+                    eps_char, eval_at_c2, eval_at_z, j_psi, r_ratio_sign,
+                    theta_ratio_WU, z_sets, z_sign)
 from .wedges import (Composition, check_nilpotent, check_subset_homology,
                      check_theta_sign, compositions, subset_complex_homology,
                      xi_sign)

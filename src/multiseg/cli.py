@@ -11,9 +11,9 @@ import json
 import os
 import sys
 
-from .core import HalfInt, IdentityError, mw_dual, parse_multisegment
+from .core import HalfInt, IdentityError, mw_dual, parse_int, parse_multisegment
 from .groth import GrothExpr, jac_left, jac_theta
-from .paramfile import ParamFileError, parse_parameter_file, render_parameter_file
+from .paramfile import parse_parameter_file, render_parameter_file
 from .params import (dominate, in_Psi_H, is_discrete, is_discrete_diagonal,
                      is_elementary)
 from .resolve import degree_conserved, resolve_general, verify_cancellation
@@ -29,7 +29,7 @@ def _load(path: str):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ParamFileError(0, f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     return parse_parameter_file(text)
 
 
@@ -120,8 +120,8 @@ def cmd_signs(args) -> int:
     def text():
         yield f"{'block':<14}{'eps_W':>6}{'eps_U':>6}{'eps_0':>6}"
         for i, b in enumerate(psi.blocks):
-            yield (f"{str(b):<14}{_sgn(chars['W'].values[i]):>6}"
-                   f"{_sgn(chars['U'].values[i]):>6}{_sgn(chars[''].values[i]):>6}")
+            yield (f"{str(b):<14}{_sgn(chars['W'][i]):>6}"
+                   f"{_sgn(chars['U'][i]):>6}{_sgn(chars[''][i]):>6}")
         yield f"z_W = {_sgn(zvals['W'])}   z_U = {_sgn(zvals['U'])}   z_empty = {_sgn(zvals[''])}"
         yield (f"theta_W/theta_U ratio = {_sgn(ratio['ratio'])}"
                f"  (half-sum {_sgn(ratio['half_sum'])},"
@@ -132,9 +132,9 @@ def cmd_signs(args) -> int:
 
     _emit(args.json,
           lambda: {"blocks": [str(b) for b in psi.blocks],
-                   "eps_W": list(chars["W"].values),
-                   "eps_U": list(chars["U"].values),
-                   "eps_empty": list(chars[""].values),
+                   "eps_W": list(chars["W"]),
+                   "eps_U": list(chars["U"]),
+                   "eps_empty": list(chars[""]),
                    "z_W": zvals["W"], "z_U": zvals["U"], "z_empty": zvals[""],
                    "pairs": {"Z": len(Z), "Z_W": len(ZW), "Z_U": len(ZU)},
                    "theta_ratio_WU": ratio,
@@ -241,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
+        p.register("type", int, parse_int)  # errors still say "invalid int value"
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(fn=fn)
         return p

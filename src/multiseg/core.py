@@ -11,7 +11,17 @@ from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 
-_HALF_RE = re.compile(r"(-?\d+)(/2)?")
+_HALF_RE = re.compile(r"(-?[0-9]+)(/2)?")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """`text` as an int when it is ASCII decimal digits with an optional
+    sign.  int() alone would also take underscores, surrounding blanks and
+    non-ASCII digits."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
 
 
 @dataclass(frozen=True, slots=True, order=True)

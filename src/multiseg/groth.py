@@ -52,8 +52,8 @@ def canonical_word(atoms) -> tuple[Ladder, ...]:
         p = len(out)
         while p and _commute(out[p - 1], a):
             p -= 1
-        key = a.sort_key()
-        while p < len(out) and out[p].sort_key() < key:
+        key = a.key
+        while p < len(out) and out[p].key < key:
             p += 1
         out.insert(p, a)
     return tuple(out)
@@ -119,7 +119,7 @@ class GrothExpr:
     def sorted_terms(self):
         return sorted(
             self.terms.items(),
-            key=lambda wc: (total_size(wc[0]), tuple(a.sort_key() for a in wc[0])),
+            key=lambda wc: (total_size(wc[0]), tuple(a.key for a in wc[0])),
         )
 
     def to_json(self):

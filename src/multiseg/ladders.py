@@ -62,7 +62,7 @@ class Ladder:
     rows: tuple[tuple[int, int], ...]
     size: int = _cached()
     spans: tuple[tuple[int, int, int], ...] = _cached()
-    _key: tuple = _cached()
+    key: tuple = _cached()
     _hash: int = _cached()
 
     def __post_init__(self):
@@ -72,7 +72,7 @@ class Ladder:
         put = object.__setattr__
         put(self, "size", sum(abs(s - e) // 2 + 1 for s, e in rows) * self.rho.d)
         put(self, "spans", tuple((s % 2, min(s, e), max(s, e)) for s, e in rows))
-        put(self, "_key", (self.rho.name, len(rows) > 1, rows))
+        put(self, "key", (self.rho.name, len(rows) > 1, rows))
         put(self, "_hash", hash((self.rho, rows)))
 
     def __hash__(self) -> int:
@@ -88,9 +88,6 @@ class Ladder:
 
     def segments(self) -> tuple[Segment, ...]:
         return tuple(Segment(self.rho, HalfInt(s), HalfInt(e)) for s, e in self.rows)
-
-    def sort_key(self):
-        return self._key
 
     def to_json(self):
         if len(self.rows) == 1:

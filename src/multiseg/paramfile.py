@@ -4,14 +4,13 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .core import CuspidalLabel
+from .core import CuspidalLabel, parse_int
 from .params import JordanBlock, Parameter
 
 
 class ParamFileError(ValueError):
     def __init__(self, line_no: int, msg: str):
         super().__init__(f"line {line_no}: {msg}")
-        self.line_no = line_no
 
 
 _SIGNS = {"+1": 1, "-1": -1, "1": 1}
@@ -46,7 +45,7 @@ def parse_parameter_file(text: str) -> tuple[Parameter, dict[str, CuspidalLabel]
                 key, val = opt.split("=", 1)
                 if key == "d":
                     try:
-                        d = int(val)
+                        d = parse_int(val)
                     except ValueError:
                         raise ParamFileError(line_no, f"bad d value {val!r}") from None
                     if d < 1:
@@ -68,7 +67,7 @@ def parse_parameter_file(text: str) -> tuple[Parameter, dict[str, CuspidalLabel]
             if name not in labels:
                 raise ParamFileError(line_no, f"block references unknown cuspidal {name!r}")
             try:
-                a, b = int(toks[2]), int(toks[3])
+                a, b = parse_int(toks[2]), parse_int(toks[3])
             except ValueError:
                 raise ParamFileError(line_no, "a and b must be integers") from None
             if a < 1:
@@ -80,7 +79,7 @@ def parse_parameter_file(text: str) -> tuple[Parameter, dict[str, CuspidalLabel]
                 if not toks[4].startswith("x"):
                     raise ParamFileError(line_no, f"multiplicity must be xN, got {toks[4]!r}")
                 try:
-                    mult = int(toks[4][1:])
+                    mult = parse_int(toks[4][1:])
                 except ValueError:
                     raise ParamFileError(line_no, f"bad multiplicity {toks[4]!r}") from None
                 if mult < 1:

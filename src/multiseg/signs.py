@@ -6,16 +6,10 @@ parameter (instances are addressed by index, so multiplicities count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .core import ZERO, CuspidalLabel, IdentityError
 from .params import Parameter, imp_variants, is_elementary, to_quad
-
-
-@dataclass(frozen=True, slots=True)
-class ZPair:
-    first: int
-    second: int
 
 
 def _gate(b1, b2) -> bool:
@@ -30,8 +24,8 @@ def _gate(b1, b2) -> bool:
 
 
 def z_sets(psi: Parameter):
-    """(Z, Z_W, Z_U): ordered pairs of distinct instances passing the parity
-    gate, split by the quadruple-form conditions."""
+    """(Z, Z_W, Z_U): ordered (i, j) index pairs of distinct instances passing
+    the parity gate, split by the quadruple-form conditions."""
     blocks = psi.blocks
     Z, ZW, ZU = [], [], []
     for i, b1 in enumerate(blocks):
@@ -49,9 +43,8 @@ def z_sets(psi: Parameter):
             else:
                 # s = 0 with B = B' != 0 forces zeta*zeta' = -1
                 which = "W" if (q1.A - q2.A) * q1.zeta < ZERO else "U"
-            pair = ZPair(i, j)
-            Z.append(pair)
-            (ZW if which == "W" else ZU).append(pair)
+            Z.append((i, j))
+            (ZW if which == "W" else ZU).append((i, j))
     return tuple(Z), tuple(ZW), tuple(ZU)
 
 
@@ -71,34 +64,21 @@ def z_sign(psi: Parameter, which: str) -> int:
     return 1 if (len(chosen) // 2) % 2 == 0 else -1
 
 
-@dataclass(frozen=True, slots=True)
-class SignChar:
-    """Map from block instances to signs, for one of the three pair sets."""
-
-    values: tuple[int, ...]
-
-
-def eps_char(psi: Parameter, which: str) -> SignChar:
-    chosen = _pair_set(psi, which)
+def eps_char(psi: Parameter, which: str) -> tuple[int, ...]:
+    """The character of a pair set: block instance i gets the sign
+    (-1)^(number of pairs (i, j) in the set)."""
     counts = [0] * len(psi.blocks)
-    for p in chosen:
-        counts[p.first] += 1
-    return SignChar(tuple(1 if c % 2 == 0 else -1 for c in counts))
+    for i, _ in _pair_set(psi, which):
+        counts[i] += 1
+    return tuple(1 if c % 2 == 0 else -1 for c in counts)
 
 
-def eval_at_z(sc: SignChar) -> int:
-    out = 1
-    for v in sc.values:
-        out *= v
-    return out
+def eval_at_z(chi: tuple[int, ...]) -> int:
+    return math.prod(chi)
 
 
-def eval_at_c2(sc: SignChar, psi: Parameter) -> int:
-    out = 1
-    for v, b in zip(sc.values, psi.blocks):
-        if b.b % 2 == 0:
-            out *= v
-    return out
+def eval_at_c2(chi: tuple[int, ...], psi: Parameter) -> int:
+    return math.prod(v for v, b in zip(chi, psi.blocks) if b.b % 2 == 0)
 
 
 def a_sign(psi: Parameter) -> int:

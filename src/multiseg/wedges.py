@@ -73,16 +73,14 @@ def xi_sign(mp: Composition, m: Composition) -> int:
 
 
 def check_nilpotent(n: int) -> bool:
-    """xi(M'',M'_1)xi(M'_1,M) + xi(M'',M'_2)xi(M'_2,M) = 0 for all 2-step chains."""
+    """xi(M'',M'_1)xi(M'_1,M) + xi(M'',M'_2)xi(M'_2,M) = 0 for all 2-step chains,
+    with M'_i = M + {m_i} and M'' = M + {m_1, m_2} as cut sets."""
     for m in compositions(n):
-        free = sorted(m.delta())
-        for m1, m2 in combinations(free, 2):
-            big = Composition.from_cuts(n, m.cuts() | {m1, m2})
-            mid1 = Composition.from_cuts(n, m.cuts() | {m1})
-            mid2 = Composition.from_cuts(n, m.cuts() | {m2})
+        cuts = m.cuts()
+        for m1, m2 in combinations(sorted(m.delta()), 2):
             if (
-                xi_sign(big, mid1) * xi_sign(mid1, m)
-                + xi_sign(big, mid2) * xi_sign(mid2, m)
+                _xi_from_cuts(cuts | {m1}, m2) * _xi_from_cuts(cuts, m1)
+                + _xi_from_cuts(cuts | {m2}, m1) * _xi_from_cuts(cuts, m2)
                 != 0
             ):
                 return False
@@ -91,13 +89,14 @@ def check_nilpotent(n: int) -> bool:
 
 def check_theta_sign(n: int) -> bool:
     """(-1)^[j/2] xi(M',M) = (-1)^[(j+1)/2] xi(theta M', theta M) with theta
-    reversing compositions and j the corank of M."""
+    reversing compositions, so mapping a cut s to n - s, and j the corank of M."""
     for m in compositions(n):
-        j = m.corank
-        for new in sorted(m.delta()):
-            mp = Composition.from_cuts(n, m.cuts() | {new})
-            lhs = (-1) ** (j // 2) * xi_sign(mp, m)
-            rhs = (-1) ** ((j + 1) // 2) * xi_sign(mp.reversed(), m.reversed())
+        cuts = m.cuts()
+        j = len(cuts)
+        flipped = frozenset(n - s for s in cuts)
+        for new in m.delta():
+            lhs = (-1) ** (j // 2) * _xi_from_cuts(cuts, new)
+            rhs = (-1) ** ((j + 1) // 2) * _xi_from_cuts(flipped, n - new)
             if lhs != rhs:
                 return False
     return True
@@ -154,32 +153,16 @@ def subset_complex_homology(delta, dm, dpm) -> dict[int, int]:
     if not (dm <= dpm <= delta):
         raise ValueError("need dm <= dpm <= delta")
     free = sorted(dpm - dm)
-    degree = lambda X: len(delta) - len(X)
-    layers: dict[int, list[frozenset[int]]] = {}
-    for r in range(len(free) + 1):
-        for extra in combinations(free, r):
-            X = dm | set(extra)
-            layers.setdefault(degree(X), []).append(frozenset(X))
-    index = {
-        j: {X: i for i, X in enumerate(sorted(basis, key=sorted))}
-        for j, basis in layers.items()
+    top = len(delta) - len(dm)
+    # layers[r] spans degree top - r: the sets dm + r elements of free
+    layers = [[dm | set(extra) for extra in combinations(free, r)]
+              for r in range(len(free) + 1)]
+    col = {X: i for layer in layers for i, X in enumerate(layer)}
+    # rank[r]: rank of the differential from layers[r] to layers[r - 1]
+    rank = {
+        r: _rank([{col[X - {m}]: Fraction(_xi_from_cuts(delta - X, m)) for m in X - dm}
+                  for X in layers[r]])
+        for r in range(1, len(layers))
     }
-    ranks: dict[int, int] = {}
-    dims = {j: len(b) for j, b in layers.items()}
-    boundary_rank: dict[int, int] = {}
-    for j in sorted(layers):
-        if j + 1 not in layers:
-            boundary_rank[j] = 0
-            continue
-        rows = []
-        for X in layers[j]:
-            row: dict[int, Fraction] = {}
-            cuts = delta - X
-            for m in sorted(X - dm):
-                Y = X - {m}
-                row[index[j + 1][Y]] = Fraction(_xi_from_cuts(cuts, m))
-            rows.append(row)
-        boundary_rank[j] = _rank(rows)
-    for j in sorted(layers):
-        ranks[j] = dims[j] - boundary_rank[j] - boundary_rank.get(j - 1, 0)
-    return ranks
+    return {top - r: len(layers[r]) - rank.get(r, 0) - rank.get(r + 1, 0)
+            for r in reversed(range(len(layers)))}

@@ -162,7 +162,7 @@ class TestCommands:
 
     def test_identity_error_exits_2(self, guide_path, capsys, monkeypatch):
         import multiseg.signs
-        odd = ((), (multiseg.signs.ZPair(0, 1),), ())
+        odd = ((), ((0, 1),), ())
         monkeypatch.setattr(multiseg.signs, "z_sets", lambda psi: odd)
         assert main(["signs", guide_path]) == 2
         cap = capsys.readouterr()
@@ -242,6 +242,41 @@ class TestErrorPaths:
     def test_complex_check_n_below_1(self, n, capsys):
         assert self._run(["complex-check", "--n", n], capsys) == (
             1, f"error: --n must be at least 1, got {n}\n")
+
+    @pytest.mark.parametrize("text, err", [
+        ("cuspidal r d=1_0\nblock r 2 2\n", "error: line 1: bad d value '1_0'\n"),
+        ("cuspidal r d=٣\nblock r 2 2\n", "error: line 1: bad d value '٣'\n"),
+        ("cuspidal r\nblock r ٢ 2 x1_0\n", "error: line 2: a and b must be integers\n"),
+        ("cuspidal r\nblock r 2 2_0\n", "error: line 2: a and b must be integers\n"),
+        ("cuspidal r\nblock r 2 2 x1_0\n", "error: line 2: bad multiplicity 'x1_0'\n"),
+        ("cuspidal r\nblock r 2 2 x٢\n", "error: line 2: bad multiplicity 'x٢'\n"),
+    ], ids=["d-underscore", "d-arabic", "ab-arabic", "ab-underscore",
+            "mult-underscore", "mult-arabic"])
+    def test_paramfile_integers_are_ascii_decimal(self, text, err, tmp_path, capsys):
+        # int() would read 1_0 as 10 and ٢ (Arabic-Indic two) as 2
+        p = tmp_path / "psi.txt"
+        p.write_text(text, encoding="utf-8")
+        assert self._run(["classify", str(p)], capsys) == (1, err)
+
+    def test_multisegment_digits_are_ascii(self, capsys):
+        assert self._run(["dual", "{[٣..0]}"], capsys) == (
+            1, "error: not a half-integer: '٣'\n")
+
+    @pytest.mark.parametrize("n", ["٣", "1_0", " 3"], ids=["arabic", "underscore", "blank"])
+    def test_complex_check_n_is_ascii_decimal(self, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["complex-check", "--n", n])
+        cap = capsys.readouterr()
+        assert exc.value.code == 1
+        assert cap.out == ""
+        assert cap.err.endswith(f"error: argument --n: invalid int value: {n!r}\n")
+        assert "Traceback" not in cap.err
+
+    def test_unreadable_file_has_no_line_number(self, tmp_path, capsys):
+        code, err = self._run(["resolve", str(tmp_path)], capsys)
+        assert code == 1
+        assert err.startswith(f"error: cannot read {tmp_path}: ")
+        assert "line 0" not in err
 
 
 class TestRenderOnlyWhatIsPrinted:

@@ -103,7 +103,7 @@ class TestCanonicalWords:
                     if v not in seen:
                         seen.add(v)
                         todo.append(v)
-            keys = [a.sort_key() for a in atoms]
+            keys = [a.key for a in atoms]
             least = min(seen, key=lambda w: [keys[i] for i in w])
             assert canonical_word(atoms) == tuple(atoms[i] for i in least), atoms
 
@@ -159,7 +159,7 @@ def _heap_canonical_word(atoms) -> tuple[Ladder, ...]:
             if not _commute(word[j], a):
                 after[j].append(i)
                 blockers[i] += 1
-    ready = [(a.sort_key(), i) for i, a in enumerate(word) if not blockers[i]]
+    ready = [(a.key, i) for i, a in enumerate(word) if not blockers[i]]
     heapify(ready)
     out = []
     while ready:
@@ -168,7 +168,7 @@ def _heap_canonical_word(atoms) -> tuple[Ladder, ...]:
         for j in after[i]:
             blockers[j] -= 1
             if not blockers[j]:
-                heappush(ready, (word[j].sort_key(), j))
+                heappush(ready, (word[j].key, j))
     return tuple(out)
 
 

@@ -64,7 +64,7 @@ class TestLadderMultisegment:
 
 
 class TestAtomData:
-    """size, sort_key and hash against their definitions, for ladders built
+    """size, key and hash against their definitions, for ladders built
     from doubled rows and from segments."""
 
     def test_random_ladders(self):
@@ -83,7 +83,7 @@ class TestAtomData:
             built = Ladder.of(CuspidalLabel(name, d), segs)
             for L in (direct, built):
                 assert L.size == sum(len(s.elements()) for s in segs) * d
-                assert L.sort_key() == (name, k > 1, rows)
+                assert L.key == (name, k > 1, rows)
             assert direct == built and hash(direct) == hash(built)
 
 

@@ -50,7 +50,7 @@ class TestZSets:
             psi = random_parameter(rng, [R, S])
             Z, ZW, ZU = z_sets(psi)
             for chunk in (Z, ZW, ZU):
-                pairs = {(p.first, p.second) for p in chunk}
+                pairs = set(chunk)
                 assert {(j, i) for i, j in pairs} == pairs
                 assert len(chunk) % 2 == 0
 
@@ -61,11 +61,11 @@ class TestZSets:
             Z, ZW, ZU = z_sets(psi)
             for chunk in (ZW, ZU):
                 firsts_even = [
-                    p for p in chunk if psi.blocks[p.first].b % 2 == 0
+                    (i, j) for i, j in chunk if psi.blocks[i].b % 2 == 0
                 ]
                 assert 2 * len(firsts_even) == len(chunk)
-            for p in Z:
-                bs = (psi.blocks[p.first].b, psi.blocks[p.second].b)
+            for i, j in Z:
+                bs = (psi.blocks[i].b, psi.blocks[j].b)
                 assert sorted(x % 2 for x in bs) == [0, 1]
 
 
@@ -104,13 +104,13 @@ class TestEpsChar:
     def test_guide_example(self):
         psi = P((2, 1), (1, 2))
         sc = eps_char(psi, "U")
-        assert sc.values == (-1, -1)
+        assert sc == (-1, -1)
         assert eval_at_z(sc) == 1
         assert eval_at_c2(sc, psi) == -1 == z_sign(psi, "U")
 
     def test_single_block_trivial(self):
         sc = eps_char(P((3, 2)), "W")
-        assert sc.values == (1,)
+        assert sc == (1,)
 
     def test_theorem_on_random_parameters(self):
         rng = random.Random(5)

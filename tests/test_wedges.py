@@ -1,11 +1,13 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from multiseg import (Composition, CuspidalLabel, JordanBlock, Parameter,
                       check_nilpotent, check_subset_homology, check_theta_sign,
                       compositions, j_psi, subset_complex_homology, xi_sign)
+from multiseg.wedges import _rank
 
 R = CuspidalLabel("rho")
 RD2 = CuspidalLabel("rho2", 2)
@@ -144,3 +146,116 @@ class TestCrossModuleDegree:
             ranks = subset_complex_homology(delta, dm, dm)
             assert ranks == {len(delta) - len(dm): 1}
             assert len(delta) - len(dm) == j
+
+
+# References for the cut-set rewrite of the wedge checks: the homology and
+# the two check loops as they were written on Compositions, kept verbatim
+# except that the homology reads the wedge sign from _xi_rule below.
+
+def _xi_rule(cuts, m):
+    """(-1)^#{s in cuts : s > m}: moving e_m past the larger cuts."""
+    return (-1) ** sum(1 for s in cuts if s > m)
+
+
+def reference_subset_complex_homology(delta, dm, dpm):
+    delta, dm, dpm = frozenset(delta), frozenset(dm), frozenset(dpm)
+    if not (dm <= dpm <= delta):
+        raise ValueError("need dm <= dpm <= delta")
+    free = sorted(dpm - dm)
+    degree = lambda X: len(delta) - len(X)  # noqa: E731
+    layers = {}
+    for r in range(len(free) + 1):
+        for extra in itertools.combinations(free, r):
+            X = dm | set(extra)
+            layers.setdefault(degree(X), []).append(frozenset(X))
+    index = {
+        j: {X: i for i, X in enumerate(sorted(basis, key=sorted))}
+        for j, basis in layers.items()
+    }
+    ranks = {}
+    dims = {j: len(b) for j, b in layers.items()}
+    boundary_rank = {}
+    for j in sorted(layers):
+        if j + 1 not in layers:
+            boundary_rank[j] = 0
+            continue
+        rows = []
+        for X in layers[j]:
+            row = {}
+            cuts = delta - X
+            for m in sorted(X - dm):
+                Y = X - {m}
+                row[index[j + 1][Y]] = Fraction(_xi_rule(cuts, m))
+            rows.append(row)
+        boundary_rank[j] = _rank(rows)
+    for j in sorted(layers):
+        ranks[j] = dims[j] - boundary_rank[j] - boundary_rank.get(j - 1, 0)
+    return ranks
+
+
+def reference_check_nilpotent(n):
+    for m in compositions(n):
+        free = sorted(m.delta())
+        for m1, m2 in itertools.combinations(free, 2):
+            big = Composition.from_cuts(n, m.cuts() | {m1, m2})
+            mid1 = Composition.from_cuts(n, m.cuts() | {m1})
+            mid2 = Composition.from_cuts(n, m.cuts() | {m2})
+            if (
+                xi_sign(big, mid1) * xi_sign(mid1, m)
+                + xi_sign(big, mid2) * xi_sign(mid2, m)
+                != 0
+            ):
+                return False
+    return True
+
+
+def reference_check_theta_sign(n):
+    for m in compositions(n):
+        j = m.corank
+        for new in sorted(m.delta()):
+            mp = Composition.from_cuts(n, m.cuts() | {new})
+            lhs = (-1) ** (j // 2) * xi_sign(mp, m)
+            rhs = (-1) ** ((j + 1) // 2) * xi_sign(mp.reversed(), m.reversed())
+            if lhs != rhs:
+                return False
+    return True
+
+
+class TestCutSetOracles:
+    def test_homology_matches_reference(self):
+        # every triple dm <= dpm <= delta = {1..size}, size <= 6: same
+        # degrees, same ranks, same key order
+        count = 0
+        for size in range(7):
+            delta = range(1, size + 1)
+            for r in range(size + 1):
+                for dpm in itertools.combinations(delta, r):
+                    for q in range(r + 1):
+                        for dm in itertools.combinations(dpm, q):
+                            got = subset_complex_homology(delta, dm, dpm)
+                            want = reference_subset_complex_homology(delta, dm, dpm)
+                            assert list(got.items()) == list(want.items()), (dm, dpm)
+                            count += 1
+        assert count == 1093
+
+    def test_checks_match_reference(self):
+        for n in range(1, 10):
+            assert check_nilpotent(n) is reference_check_nilpotent(n) is True
+            assert check_theta_sign(n) is reference_check_theta_sign(n) is True
+
+    def test_xi_sign_is_the_cut_rule(self):
+        count = 0
+        for n in range(1, 8):
+            for m in compositions(n):
+                for new in m.delta():
+                    mp = Composition.from_cuts(n, m.cuts() | {new})
+                    assert xi_sign(mp, m) == _xi_rule(m.cuts(), new)
+                    count += 1
+        assert count == sum((n - 1) * 2 ** (n - 2) for n in range(2, 8))
+
+    @pytest.mark.parametrize("check", [check_nilpotent, check_theta_sign])
+    def test_constant_sign_is_caught(self, check, monkeypatch):
+        import multiseg.wedges
+        assert check(3)
+        monkeypatch.setattr(multiseg.wedges, "_xi_from_cuts", lambda cuts, m: 1)
+        assert not check(3)
