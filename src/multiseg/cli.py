@@ -7,6 +7,7 @@ identity (something that must vanish or agree did not).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -232,42 +233,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     ap = _Parser(
         prog="multiseg",
         description="Segment combinatorics for twisted general linear groups",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, help, *positional):
+        p = sub.add_parser(name, help=help)
         p.register("type", int, parse_int)  # errors still say "invalid int value"
         p.add_argument("--json", action="store_true", help="machine-readable output")
+        for arg in positional:
+            p.add_argument(arg)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("classify", cmd_classify, help="block predicates and quad recoding")
-    p.add_argument("file")
-    p = add("signs", cmd_signs, help="sign characters and normalization ratios")
-    p.add_argument("file")
-    p = add("resolve", cmd_resolve, help="resolution in the formal group")
-    p.add_argument("file")
+    add("classify", cmd_classify, "block predicates and quad recoding", "file")
+    add("signs", cmd_signs, "sign characters and normalization ratios", "file")
+    p = add("resolve", cmd_resolve, "resolution in the formal group", "file")
     p.add_argument("--rule", choices=("minimal", "staircase"), default="minimal")
-    p = add("jacquet", cmd_jacquet, help="Jacquet projection of the resolution")
-    p.add_argument("file")
+    p = add("jacquet", cmd_jacquet, "Jacquet projection of the resolution", "file")
     p.add_argument("--rho", required=True)
     p.add_argument("--x", required=True,
                    help="point such as 3/2; write a negative point as --x=-1/2")
     p.add_argument("--theta", action="store_true")
-    p = add("dominate", cmd_dominate, help="discrete-diagonal dominating parameter")
-    p.add_argument("file")
+    p = add("dominate", cmd_dominate, "discrete-diagonal dominating parameter", "file")
     p.add_argument("--rule", choices=("minimal", "staircase"), default="minimal")
-    p = add("dual", cmd_dual, help="dual multisegment")
-    p.add_argument("multisegment")
-    p = add("complex-check", cmd_complex_check, help="wedge-sign and homology suites")
+    add("dual", cmd_dual, "dual multisegment", "multisegment")
+    p = add("complex-check", cmd_complex_check, "wedge-sign and homology suites")
     p.add_argument("--n", type=int, default=5)
-    p = add("verify", cmd_verify, help="cancellation report for a parameter")
-    p.add_argument("file")
+    add("verify", cmd_verify, "cancellation report for a parameter", "file")
     return ap
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .core import CuspidalLabel, HalfInt, Multisegment
-from .ladders import Ladder, peel_rows
+from .ladders import Ladder, peel
 
 
 def SegmentAtom(rho: CuspidalLabel, start: HalfInt, end: HalfInt) -> Ladder:
@@ -152,10 +152,10 @@ def induce(parts) -> GrothExpr:
 
 def _jac(left: bool, rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
     # Each distinct atom is peeled once per call; e's words keep every atom
-    # alive until the call returns, so id() is a sound key.  A peel is None
-    # (no row starts or ends at x), () (the atom vanished) or one ladder.
-    name, t = rho.name, x.twice
-    peels: dict[int, tuple[Ladder, ...] | None] = {}
+    # alive until the call returns, so id() is a sound key.  An emptied atom
+    # has size 0, and canonical_word drops it.
+    name = rho.name
+    peels: dict[int, Ladder | None] = {}
 
     def peeled():
         for word, c in e.terms.items():
@@ -164,11 +164,10 @@ def _jac(left: bool, rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
                     continue
                 key = id(atom)
                 if key not in peels:
-                    rows = peel_rows(atom.rows, t, left)
-                    peels[key] = rows and (Ladder(atom.rho, rows),)
+                    peels[key] = peel(x, atom, left)
                 new = peels[key]
                 if new is not None:
-                    yield canonical_word(word[:i] + new + word[i + 1:]), c
+                    yield canonical_word(word[:i] + (new,) + word[i + 1:]), c
 
     return GrothExpr(peeled())
 

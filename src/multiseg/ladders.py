@@ -20,27 +20,6 @@ def _is_ladder(rows) -> bool:
     return all(s > s2 and e > e2 for (s, e), (s2, e2) in zip(rows, rows[1:]))
 
 
-def peel_rows(rows, x: int, left: bool):
-    """Single-point peel of ladder rows given as doubled (start, end) pairs in
-    ladder order: drop the first element of the row starting at x (left) or
-    the last element of the row ending at x.  None if no row starts (ends)
-    at x or the result breaks the ladder condition."""
-    for i, (s, e) in enumerate(rows):
-        if (s if left else e) == x:
-            break
-    else:
-        return None
-    step = 2 if e > s else -2
-    if s == e:
-        row = ()
-    elif left:
-        row = ((s + step, e),)
-    else:
-        row = ((s, e - step),)
-    out = tuple(sorted(rows[:i] + row + rows[i + 1:], reverse=True))
-    return out if _is_ladder(out) else None
-
-
 def _body(rows) -> str:
     return ",".join(f"[{HalfInt(s)}..{HalfInt(e)}]" for s, e in rows)
 
@@ -120,20 +99,39 @@ def tableau_cols(q: Quad) -> Multisegment:
     return Multisegment(cols)
 
 
-def _peel(x: HalfInt, lad: Ladder, left: bool) -> Ladder | None:
-    rows = peel_rows(lad.rows, x.twice, left)
-    return None if rows is None else Ladder(lad.rho, rows)
+def peel(x: HalfInt, lad: Ladder, left: bool) -> Ladder | None:
+    """Single-point peel: drop the first element of the row starting at x
+    (left) or the last element of the row ending at x; an emptied ladder is
+    Ladder(rho, ()).  None if no row starts (ends) at x or the result breaks
+    the ladder condition.  The peeled row keeps its index: moving one end a
+    step past a neighbour's end reverses the order of that end alone, which
+    the ladder condition rejects whether or not the rows are re-sorted."""
+    t, rows = x.twice, lad.rows
+    for i, (s, e) in enumerate(rows):
+        if (s if left else e) == t:
+            break
+    else:
+        return None
+    step = 2 if e > s else -2
+    if s == e:
+        row = ()
+    elif left:
+        row = ((s + step, e),)
+    else:
+        row = ((s, e - step),)
+    out = rows[:i] + row + rows[i + 1:]
+    return Ladder(lad.rho, out) if _is_ladder(out) else None
 
 
 def peel_left(x: HalfInt, lad: Ladder) -> Ladder | None:
     """Drop the first element of the unique row starting at x; None if that
     kills the ladder condition or no row starts at x."""
-    return _peel(x, lad, True)
+    return peel(x, lad, True)
 
 
 def peel_right(x: HalfInt, lad: Ladder) -> Ladder | None:
     """Mirror of peel_left: drop the last element of the unique row ending at x."""
-    return _peel(x, lad, False)
+    return peel(x, lad, False)
 
 
 def trunc_ladder(q: Quad, C: HalfInt) -> Ladder:

@@ -79,17 +79,13 @@ def block_order_cmp(q: Quad, qp: Quad) -> int:
         raise ValueError(f"quads {q} and {qp} have different labels; incomparable")
     if q.is_half_integral != qp.is_half_integral:
         raise ValueError(f"quads {q} and {qp} lie in different integrality families")
-    for x, y in ((q.A, qp.A), (q.B, qp.B)):
-        if x != y:
-            return 1 if x > y else -1
-    if q.B > ZERO and q.zeta != qp.zeta:
-        return 1 if q.zeta == 1 else -1
-    return 0
+    k, kp = _quad_sort_key(q), _quad_sort_key(qp)
+    return (k > kp) - (k < kp)
 
 
 def _quad_sort_key(q: Quad):
     # Deterministic order across labels and integrality families; within one
-    # family it refines block_order_cmp.
+    # family it is block_order_cmp (B = 0 forces zeta = +1).
     return (q.rho.name, q.A.twice, q.B.twice, q.zeta)
 
 

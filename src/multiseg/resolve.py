@@ -67,9 +67,13 @@ def _leading(quads, pick=max):
     return q, rest
 
 
+def _tableaux(quads) -> tuple[Ladder, ...]:
+    """The quads' tableau atoms in decreasing _quad_sort_key order."""
+    return tuple(map(ladder_multisegment, sorted(quads, key=_quad_sort_key, reverse=True)))
+
+
 def _elementary_word(quads) -> GrothExpr:
-    ordered = sorted(quads, key=_quad_sort_key, reverse=True)
-    return GrothExpr.word(ladder_multisegment(q) for q in ordered)
+    return GrothExpr.word(_tableaux(quads))
 
 
 def distinguished_word(psi: Parameter):
@@ -78,17 +82,14 @@ def distinguished_word(psi: Parameter):
     Built by the same recursion the resolver uses: the largest block with
     A > B contributes its outermost tableau row on the left and its mirror on
     the right, wrapped around the word of the shrunk parameter; elementary
-    parameters contribute their single rows in decreasing block order.  The
-    word carries coefficient +1 in the resolution.
+    parameters contribute their single-row tableaux in decreasing block
+    order.  The word carries coefficient +1 in the resolution.
     """
 
     def build(quads):
         q, rest = _leading(quads)
         if q is None:
-            ordered = sorted(quads, key=_quad_sort_key, reverse=True)
-            return tuple(
-                SegmentAtom(q.rho, q.B * q.zeta, -(q.A * q.zeta)) for q in ordered
-            )
+            return _tableaux(quads)
         if q.A >= q.B + 2:
             rest.append(Quad(q.rho, q.A - 1, q.B + 1, q.zeta))
         inner = build(tuple(rest))

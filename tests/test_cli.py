@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import multiseg
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, Ladder, Quad,
                       parse_parameter_file, render_parameter_file,
                       resolve_block)
-from multiseg.cli import _dumps, main
+from multiseg.cli import _dumps, build_parser, main
 from multiseg.groth import canonical_word
 from multiseg.paramfile import ParamFileError
 
@@ -403,3 +405,34 @@ class TestClosedPipe:
             os.close(w)
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stderr) == (1, "")
+
+
+class TestParserBuiltOnce:
+    """One argparse tree per process: repeated in-process calls reuse it and
+    leave no parser behind as cyclic garbage."""
+
+    def test_same_parser(self):
+        assert build_parser() is build_parser()
+
+    def test_repeated_calls_agree(self, capsys):
+        argv = ["resolve", "--json", str(GOLDEN / "mult.txt")]
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_no_parser_garbage(self, capsys):
+        main(["dual", "{[2..0]rho}"])
+        flags = gc.get_debug()
+        gc.collect()
+        try:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.garbage.clear()
+            main(["dual", "{[2..0]rho}"])
+            gc.collect()
+            leaked = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert leaked == []

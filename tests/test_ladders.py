@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -6,6 +7,7 @@ from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Ladder,
                       Multisegment, Quad, Segment, ladder_multisegment,
                       peel_left, peel_right, tableau_cols, to_quad,
                       trunc_ladder)
+from multiseg.ladders import _is_ladder, peel
 
 R = CuspidalLabel("rho")
 
@@ -139,6 +141,46 @@ class TestPeels:
         got = peel_right(hi("-1/2"), L)
         assert got is not None
         assert set(got.segments()) == {seg("1/2", "-3/2"), seg("3/2", "1/2")}
+
+
+def _resorting_peel(x, L, left):
+    """The single-point peel as it was before the peeled row kept its index:
+    peel the rows, sort them by descending start, then test the ladder
+    condition."""
+    for i, (s, e) in enumerate(L.rows):
+        if (s if left else e) == x.twice:
+            break
+    else:
+        return None
+    step = 2 if e > s else -2
+    if s == e:
+        row = ()
+    elif left:
+        row = ((s + step, e),)
+    else:
+        row = ((s, e - step),)
+    out = tuple(sorted(L.rows[:i] + row + L.rows[i + 1:], reverse=True))
+    return Ladder(L.rho, out) if _is_ladder(out) else None
+
+
+class TestPeelOracle:
+    """peel keeps the peeled row in place; the re-sorting peel is the
+    reference.  Rows may lie in either coset of Z, one coset per row."""
+
+    def test_matches_resorting_peel(self):
+        pts = range(-4, 5)
+        rows = sorted(((s, e) for s in pts for e in pts if (s - e) % 2 == 0),
+                      reverse=True)
+        ladders = [Ladder(R, rs) for k in (1, 2, 3)
+                   for rs in combinations(rows, k) if _is_ladder(rs)]
+        cases = 0
+        for L in ladders:
+            for t in range(-6, 7):
+                x = HalfInt(t)
+                for left in (True, False):
+                    assert peel(x, L, left) == _resorting_peel(x, L, left), (L, t, left)
+                    cases += 1
+        assert cases == 36218
 
 
 class TestTruncLadder:

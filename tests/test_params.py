@@ -107,6 +107,28 @@ class TestBlockOrder:
             block_order_cmp(Quad(R, hi(1), hi(1), 1), Quad(R, hi("1/2"), hi("1/2"), 1))
 
 
+def _cascade_cmp(q, qp):
+    """block_order_cmp written out field by field: A, then B, then zeta=+
+    when B > 0."""
+    for x, y in ((q.A, qp.A), (q.B, qp.B)):
+        if x != y:
+            return 1 if x > y else -1
+    if q.B > hi(0) and q.zeta != qp.zeta:
+        return 1 if q.zeta == 1 else -1
+    return 0
+
+
+class TestBlockOrderOracle:
+    def test_matches_cascade(self):
+        for half in (0, 1):
+            quads = [Quad(R, HalfInt(A2), HalfInt(B2), z)
+                     for A2 in range(half, 7, 2) for B2 in range(half, A2 + 1, 2)
+                     for z in (1, -1)]
+            for q in quads:
+                for qp in quads:
+                    assert block_order_cmp(q, qp) == _cascade_cmp(q, qp), (q, qp)
+
+
 class TestDominate:
     def test_worked_example(self):
         psi = Parameter([JordanBlock(R, 2, 1), JordanBlock(R, 1, 2)])

@@ -1,9 +1,10 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock,
-                      Parameter, Quad, SegmentAtom, degree_conserved,
+                      Ladder, Parameter, Quad, SegmentAtom, degree_conserved,
                       distinguished_word, jac_left, jac_theta, resolve_block,
                       ladder_multisegment, resolve_general, resolve_param,
                       to_quad, total_size, trunc_ladder, verify_cancellation)
@@ -180,6 +181,41 @@ class TestResolveGeneral:
         res = resolve_general(psi)
         assert res.trace[0]["case"] == "dominate"
         assert res.trace[0]["peel"] == [["rho", "3/2"]]
+
+
+def _one_label_parameters(max_n):
+    """Parameters over rho with 1-3 blocks, 1 <= a, b <= 4 and n <= max_n."""
+    shapes = [(a, b) for a in range(1, 5) for b in range(1, 5)]
+    for k in (1, 2, 3):
+        for blocks in combinations_with_replacement(shapes, k):
+            if sum(a * b for a, b in blocks) <= max_n:
+                yield Parameter([JordanBlock(R, a, b) for a, b in blocks])
+
+
+def _theta(image):
+    """theta on a commutative image: every row [x..y] becomes [-y..-x]."""
+    def flip(a):
+        return Ladder(a.rho, tuple((-e, -s) for s, e in reversed(a.rows)))
+    return {frozenset((flip(a), m) for a, m in key): c for key, c in image.items()}
+
+
+class TestThetaSymmetry:
+    """commutative_image(resolve_general(psi)) is fixed by theta.
+
+    Catches a peel that is not two-sided: with jac_theta replaced by
+    jac_left alone, 364 of the 468 minimal-rule parameters fail.  A mistake
+    that is itself theta-symmetric passes, for example both peels at -x.
+    """
+
+    @pytest.mark.parametrize("rule, max_n, count",
+                             [("minimal", 16, 468), ("staircase", 12, 278)])
+    def test_invariant(self, rule, max_n, count):
+        seen = 0
+        for psi in _one_label_parameters(max_n):
+            image = commutative_image(resolve_general(psi, rule=rule).expr)
+            assert _theta(image) == image, str(psi)
+            seen += 1
+        assert seen == count
 
 
 class TestVerifyCancellation:
