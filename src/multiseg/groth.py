@@ -67,6 +67,18 @@ def gl_multisegment(word: tuple[Ladder, ...]) -> Multisegment:
     return Multisegment(seg for a in word for seg in a.segments())
 
 
+def _sum(pairs) -> dict:
+    """Sum (key, coefficient) pairs into a dict, dropping zero totals."""
+    acc: dict = {}
+    for key, coeff in pairs:
+        c = acc.get(key, 0) + coeff
+        if c:
+            acc[key] = c
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 class GrothExpr:
     """Map from canonical words to nonzero integer coefficients."""
 
@@ -74,14 +86,7 @@ class GrothExpr:
 
     def __init__(self, pairs=()):
         """Sum (canonical word, coefficient) pairs, dropping zero totals."""
-        acc: dict[tuple[Ladder, ...], int] = {}
-        for word, coeff in pairs:
-            c = acc.get(word, 0) + coeff
-            if c:
-                acc[word] = c
-            else:
-                acc.pop(word, None)
-        object.__setattr__(self, "terms", acc)
+        object.__setattr__(self, "terms", _sum(pairs))
 
     def __setattr__(self, *a):
         raise AttributeError("GrothExpr is immutable")
@@ -202,10 +207,4 @@ def commutative_image(e: GrothExpr) -> dict:
     Canonical-word equality refines this; comparisons here test identities
     that only hold after forgetting factor order.
     """
-    acc: dict = {}
-    for w, c in e.terms.items():
-        key = frozenset(Counter(w).items())
-        acc[key] = acc.get(key, 0) + c
-        if acc[key] == 0:
-            del acc[key]
-    return acc
+    return _sum((frozenset(Counter(w).items()), c) for w, c in e.terms.items())

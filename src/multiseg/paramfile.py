@@ -96,9 +96,8 @@ def render_parameter_file(psi: Parameter) -> str:
     for rho in psi.labels():
         eta = "?" if rho.eta is None else f"{rho.eta:+d}"
         lines.append(f"cuspidal {rho.name} d={rho.d} eta={eta} chi={rho.chi:+d}")
-    for block, mult in sorted(
-        Counter(psi.blocks).items(), key=lambda bm: (bm[0].rho.name, bm[0].a, bm[0].b)
-    ):
+    # psi.blocks is in (name, a, b) order, and Counter keeps first-seen order
+    for block, mult in Counter(psi.blocks).items():
         suffix = f" x{mult}" if mult > 1 else ""
         lines.append(f"block {block.rho.name} {block.a} {block.b}{suffix}")
     return "\n".join(lines) + "\n"

@@ -199,6 +199,7 @@ def dominate(psi: Parameter, rule: str = "minimal"):
         by_rho.setdefault(q.rho.name, []).append(q)
     for name in sorted(by_rho):
         quads = sorted(by_rho[name], key=_quad_sort_key)
+        # in one family every base point is = B mod 2 and every width is even
         used: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
         for q in quads:
             fam = q.B.twice % 2
@@ -206,10 +207,10 @@ def dominate(psi: Parameter, rule: str = "minimal"):
             cand = q.B.twice
             if rule == "staircase":
                 top = max((e for _, e in used[fam]), default=q.B.twice - 2)
-                cand = max(cand, top + 8 - (top + 8 - q.B.twice) % 2)
+                cand = max(cand, top + 8)
             if any(not _disjoint((cand, cand + width), iv) for iv in used[fam]):
                 top = max(e for _, e in used[fam])
-                cand = top + 2 - (top + 2 - q.B.twice) % 2
+                cand = top + 2
             used[fam].append((cand, cand + width))
             Bt = HalfInt(cand)
             new_blocks.append(from_quad(Quad(q.rho, Bt + (q.A - q.B), Bt, q.zeta)))
@@ -219,17 +220,22 @@ def dominate(psi: Parameter, rule: str = "minimal"):
     return Parameter(new_blocks), tuple(peel)
 
 
+def _j_le_d(psi: Parameter, rho: CuspidalLabel, d: int) -> list[int]:
+    """Indices of J_{<=d}: label rho, sup(a,b) <= d and sup(a,b) = d mod 2."""
+    return [
+        i
+        for i, b in enumerate(psi.blocks)
+        if b.rho == rho and max(b.a, b.b) <= d and (max(b.a, b.b) - d) % 2 == 0
+    ]
+
+
 def psi_sharp(psi: Parameter, rho: CuspidalLabel, d: int) -> Parameter:
-    """Flip (a,b) on the blocks with label rho, sup(a,b) <= d and sup(a,b) = d mod 2."""
+    """Flip (a,b) on the blocks of J_{<=d}."""
     if not is_elementary(psi):
         raise ValueError("psi_sharp is defined for elementary parameters")
-    out = []
-    for b in psi:
-        if b.rho == rho and max(b.a, b.b) <= d and (max(b.a, b.b) - d) % 2 == 0:
-            out.append(JordanBlock(b.rho, b.b, b.a))
-        else:
-            out.append(b)
-    return Parameter(out)
+    flip = set(_j_le_d(psi, rho, d))
+    return Parameter(JordanBlock(b.rho, b.b, b.a) if i in flip else b
+                     for i, b in enumerate(psi.blocks))
 
 
 def imp_variants(psi: Parameter):

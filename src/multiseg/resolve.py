@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import HalfInt
-from .groth import (GrothExpr, SegmentAtom, commutative_image, induce,
+from .groth import (GrothExpr, SegmentAtom, canonical_word, commutative_image,
                     jac_left, jac_theta, jac_theta_seq, total_size)
 from .ladders import Ladder, ladder_multisegment
 from .params import Parameter, Quad, _quad_sort_key, dominate, is_discrete_diagonal
@@ -32,19 +32,22 @@ def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> GrothExpr:
     """The expansion of block q next to the blocks rest; sub maps a tuple of
     quads to a GrothExpr.  For A = B+1 the middle is sub(rest).  Each C
     theta-peels the previous middle at zC, which is Jac^theta_{z(B+2)..zC}
-    of the first.  The closing sub call comes last, which keeps the
-    resolver's trace order."""
+    of the first, and wraps its words in <zB..-zC> and <zC..-zB>.  All the
+    terms go into one sum.  The closing sub call comes last, which keeps
+    the resolver's trace order."""
     rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
     middle = sub(rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ()))
-    out = GrothExpr.zero()
+    pairs = []
     for C in range(B + 2, A + 1, 2):
         if C >= B + 4:
             middle = jac_theta(rho, HalfInt(C * z), middle)
-        left = GrothExpr.word((Ladder(rho, ((B * z, -C * z),)),))
-        right = GrothExpr.word((Ladder(rho, ((C * z, -B * z),)),))
-        out = out + (-1) ** ((A - C) // 2) * induce([left, middle, right])
+        left, right = Ladder(rho, ((B * z, -C * z),)), Ladder(rho, ((C * z, -B * z),))
+        sign = (-1) ** ((A - C) // 2)
+        pairs += [(canonical_word((left, *w, right)), sign * c) for w, c in middle.terms.items()]
     closing = sub(rest + (Quad(rho, q.A, q.B + 1, z), Quad(rho, q.B, q.B, z)))
-    return out + (-1) ** (((A - B) // 2 + 1) // 2) * closing
+    sign = (-1) ** (((A - B) // 2 + 1) // 2)
+    pairs += [(w, sign * c) for w, c in closing.terms.items()]
+    return GrothExpr(pairs)
 
 
 def resolve_block(q: Quad) -> GrothExpr:
@@ -97,9 +100,7 @@ def distinguished_word(psi: Parameter):
         right = SegmentAtom(q.rho, q.A * q.zeta, -(q.B * q.zeta))
         return (left,) + inner + (right,)
 
-    expr = GrothExpr.word(build(psi.quads()))
-    (word,) = expr.terms
-    return word
+    return canonical_word(build(psi.quads()))
 
 
 class _Resolver:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .core import ZERO, CuspidalLabel, IdentityError
-from .params import Parameter, imp_variants, is_elementary, to_quad
+from .params import Parameter, _j_le_d, imp_variants, is_elementary, to_quad
 
 
 def _gate(b1, b2) -> bool:
@@ -132,14 +132,6 @@ def r_ratio_sign(bl, blp) -> int:
     if bl.rho != blp.rho:
         return 1
     return 1 if (min(bl.a, blp.a) * min(bl.b, blp.b)) % 2 == 0 else -1
-
-
-def _j_le_d(psi: Parameter, rho: CuspidalLabel, d: int):
-    return [
-        i
-        for i, b in enumerate(psi.blocks)
-        if b.rho == rho and max(b.a, b.b) <= d and (max(b.a, b.b) - d) % 2 == 0
-    ]
 
 
 def j_psi(psi: Parameter, rho: CuspidalLabel, d: int) -> tuple[int, int]:

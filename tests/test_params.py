@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -7,6 +8,8 @@ from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Parameter, Quad,
                       imp_variants, in_Psi_H, is_discrete,
                       is_discrete_diagonal, is_elementary, psi_sharp,
                       reducibility_point, to_quad)
+
+from multiseg.params import _disjoint, _quad_sort_key
 
 from conftest import random_parameter
 
@@ -264,3 +267,80 @@ class TestReducibilityPoint:
     def test_precondition(self):
         with pytest.raises(ValueError):
             reducibility_point(Parameter([JordanBlock(ONE_GL1, 2, 2)]), ONE_GL1)
+
+
+def _reference_dominate(psi, rule="minimal"):
+    """dominate with the coset correction written out on both shifts; kept
+    as the reference for the shifts without it."""
+    if rule not in ("minimal", "staircase"):
+        raise ValueError(f"unknown domination rule {rule!r}")
+    new_blocks = []
+    peel = []
+    by_rho = {}
+    for q in psi.quads():
+        by_rho.setdefault(q.rho.name, []).append(q)
+    for name in sorted(by_rho):
+        quads = sorted(by_rho[name], key=_quad_sort_key)
+        used = {0: [], 1: []}
+        for q in quads:
+            fam = q.B.twice % 2
+            width = (q.A - q.B).twice
+            cand = q.B.twice
+            if rule == "staircase":
+                top = max((e for _, e in used[fam]), default=q.B.twice - 2)
+                cand = max(cand, top + 8 - (top + 8 - q.B.twice) % 2)
+            if any(not _disjoint((cand, cand + width), iv) for iv in used[fam]):
+                top = max(e for _, e in used[fam])
+                cand = top + 2 - (top + 2 - q.B.twice) % 2
+            used[fam].append((cand, cand + width))
+            Bt = HalfInt(cand)
+            new_blocks.append(from_quad(Quad(q.rho, Bt + (q.A - q.B), Bt, q.zeta)))
+            for d in range(cand, q.B.twice, -2):
+                for k in range(0, width + 1, 2):
+                    peel.append((q.rho, HalfInt((d + k) * q.zeta)))
+    return Parameter(new_blocks), tuple(peel)
+
+
+def _reference_psi_sharp(psi, rho, d):
+    """psi_sharp with the J_{<=d} predicate written inline."""
+    if not is_elementary(psi):
+        raise ValueError("psi_sharp is defined for elementary parameters")
+    out = []
+    for b in psi:
+        if b.rho == rho and max(b.a, b.b) <= d and (max(b.a, b.b) - d) % 2 == 0:
+            out.append(JordanBlock(b.rho, b.b, b.a))
+        else:
+            out.append(b)
+    return Parameter(out)
+
+
+def _oracle_corpus():
+    """1-3 blocks on one label and 1-2 blocks on two labels, 1 <= a, b <= 4."""
+    one = [(R, a, b) for a in range(1, 5) for b in range(1, 5)]
+    two = one + [(S, a, b) for a in range(1, 5) for b in range(1, 5)]
+    for shapes, sizes in ((one, (1, 2, 3)), (two, (1, 2))):
+        for k in sizes:
+            for blocks in combinations_with_replacement(shapes, k):
+                yield Parameter(JordanBlock(*blk) for blk in blocks)
+
+
+class TestDominationOracle:
+    def test_dominate_matches_reference(self):
+        seen = 0
+        for psi in _oracle_corpus():
+            for rule in ("minimal", "staircase"):
+                assert dominate(psi, rule) == _reference_dominate(psi, rule), (str(psi), rule)
+            seen += 1
+        assert seen == 968 + 560
+
+    def test_psi_sharp_matches_reference(self):
+        seen = 0
+        for psi in _oracle_corpus():
+            if not is_elementary(psi):
+                continue
+            for rho in (R, S):
+                for d in range(1, 8):
+                    assert psi_sharp(psi, rho, d) == _reference_psi_sharp(psi, rho, d), \
+                        (str(psi), rho.name, d)
+            seen += 1
+        assert seen == 168

@@ -5,9 +5,11 @@ import pytest
 
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock,
                       Ladder, Parameter, Quad, SegmentAtom, degree_conserved,
-                      distinguished_word, jac_left, jac_theta, resolve_block,
+                      distinguished_word, induce, is_discrete_diagonal,
+                      jac_left, jac_theta, resolve_block,
                       ladder_multisegment, resolve_general, resolve_param,
                       to_quad, total_size, trunc_ladder, verify_cancellation)
+from multiseg import resolve
 from multiseg.groth import commutative_image
 from multiseg.params import from_quad
 
@@ -235,3 +237,84 @@ class TestVerifyCancellation:
         psi = Parameter([JordanBlock(R, 3, 2), JordanBlock(R, 1, 1)])
         with pytest.raises(ValueError, match="nothing to verify"):
             verify_cancellation(psi)
+
+
+def _reference_expand(q, rest, sub):
+    """The expansion step as an operator chain: one GrothExpr per C, summed
+    with + and scaled with *.  Kept as the reference for resolve._expand."""
+    rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
+    middle = sub(rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ()))
+    out = GrothExpr.zero()
+    for C in range(B + 2, A + 1, 2):
+        if C >= B + 4:
+            middle = jac_theta(rho, HalfInt(C * z), middle)
+        left = GrothExpr.word((Ladder(rho, ((B * z, -C * z),)),))
+        right = GrothExpr.word((Ladder(rho, ((C * z, -B * z),)),))
+        out = out + (-1) ** ((A - C) // 2) * induce([left, middle, right])
+    closing = sub(rest + (Quad(rho, q.A, q.B + 1, z), Quad(rho, q.B, q.B, z)))
+    return out + (-1) ** (((A - B) // 2 + 1) // 2) * closing
+
+
+_SINGLE_BLOCKS = [Parameter([JordanBlock(R, a, b)]) for a in range(2, 8) for b in range(2, 8)]
+_MULTI_BLOCKS = [
+    Parameter([JordanBlock(R, 4, 3), JordanBlock(R, 6, 4)]),
+    Parameter([JordanBlock(R, 5, 3), JordanBlock(R, 1, 1)]),
+    Parameter([JordanBlock(R, 2, 1), JordanBlock(R, 4, 1)]),
+    Parameter([JordanBlock(R, 3, 3), JordanBlock(S, 6, 6)]),
+    Parameter([JordanBlock(R, 4, 3), JordanBlock(S, 2, 3), JordanBlock(S, 5, 1)]),
+]
+
+
+def _resolutions(psis):
+    out = []
+    for psi in psis:
+        if len(psi) == 1:
+            out.append(resolve_block(psi.quads()[0]))
+        for choice in ("largest", "smallest"):
+            res = resolve_param(psi, block_choice=choice)
+            out.append((res.expr, res.trace))
+    return out
+
+
+class TestExpandOracle:
+    def test_matches_operator_chain(self, monkeypatch):
+        psis = _SINGLE_BLOCKS + _MULTI_BLOCKS
+        for psi in _MULTI_BLOCKS:
+            assert is_discrete_diagonal(psi), str(psi)
+        got = _resolutions(psis)
+        monkeypatch.setattr(resolve, "_expand", _reference_expand)
+        want = _resolutions(psis)
+        assert len(got) == len(want) == 36 * 3 + 5 * 2
+        for g, w in zip(got, want):
+            assert g == w
+
+
+class TestOneSumPerStep:
+    """The expansion step builds one GrothExpr from one list of pairs: no
+    GrothExpr + or integer * inside resolve_param."""
+
+    @staticmethod
+    def _count_operators(monkeypatch, run):
+        calls = []
+        for name in ("__add__", "__rmul__"):
+            orig = getattr(GrothExpr, name)
+
+            def counted(self, other, _orig=orig, _name=name):
+                calls.append(_name)
+                return _orig(self, other)
+
+            monkeypatch.setattr(GrothExpr, name, counted)
+        run()
+        return len(calls)
+
+    @pytest.mark.parametrize("psi", [
+        Parameter([JordanBlock(R, 6, 6)]),
+        Parameter([JordanBlock(R, 4, 3), JordanBlock(R, 6, 4)]),
+    ], ids=str)
+    def test_no_operator_calls(self, monkeypatch, psi):
+        assert self._count_operators(monkeypatch, lambda: resolve_param(psi)) == 0
+
+    def test_counter_sees_the_operator_chain(self, monkeypatch):
+        monkeypatch.setattr(resolve, "_expand", _reference_expand)
+        psi = Parameter([JordanBlock(R, 6, 6)])
+        assert self._count_operators(monkeypatch, lambda: resolve_param(psi)) > 0
