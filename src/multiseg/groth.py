@@ -8,7 +8,9 @@ lexicographically least word of the commutation class (the normal form
 of the trace monoid), built by inserting one atom at a time into the
 normal form of the atoms before it.  Atoms carry their size, sort key, row
 spans and hash, computed once.  Jac_x acts by the Leibniz rule over word
-factors, peeling each distinct atom once per call.
+factors, peeling each distinct atom once per call.  A chain of theta-peels
+(jac_theta_seq) runs on positional words, tuples of indices into a table of
+interned atoms, and canonicalizes only the words it returns.
 """
 
 from __future__ import annotations
@@ -193,12 +195,39 @@ def jac_theta(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
 
 
 def jac_theta_seq(points, e: GrothExpr) -> GrothExpr:
-    """Apply jac_theta at (rho, x) pairs in list order (first entry first)."""
+    """Apply jac_theta at (rho, x) pairs in list order (first entry first).
+
+    A whole chain runs on positional words: tuples of indices into a table
+    of the distinct atoms, interned by value.  A peel only shrinks a row,
+    so atoms that commute still commute after it, and Jac acts on any
+    representative of a commutation class; only the returned words are
+    canonicalized.  An emptied atom keeps its place with no rows, never
+    peels again, and canonical_word drops it.  One-point peels (jac_left,
+    jac_right, jac_theta) keep _jac, which canonicalizes as it goes and is
+    cheaper on small expressions than interning them.
+    """
+    points = list(points)
+    if not points or e.is_zero:
+        return e
+    atoms = list(set().union(*e.terms))
+    index = {a: i for i, a in enumerate(atoms)}
+    terms = {tuple(map(index.__getitem__, w)): c for w, c in e.terms.items()}
     for rho, x in points:
-        if e.is_zero:
-            return e
-        e = jac_theta(rho, x, e)
-    return e
+        x = HalfInt.of(x)
+        for t, left in ((x, True), (-x, False)):
+            moves = {}
+            for k in set().union(*terms):
+                atom = atoms[k]
+                if atom.rho.name == rho.name:
+                    new = peel(t, atom, left)
+                    if new is not None:
+                        moves[k] = j = index.setdefault(new, len(atoms))
+                        if j == len(atoms):
+                            atoms.append(new)
+            terms = _sum((w[:i] + (moves[k],) + w[i + 1:], c)
+                         for w, c in terms.items() for i, k in enumerate(w) if k in moves)
+    return GrothExpr((canonical_word(tuple(map(atoms.__getitem__, w))), c)
+                     for w, c in terms.items())
 
 
 def commutative_image(e: GrothExpr) -> dict:

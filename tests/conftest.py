@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from multiseg import CuspidalLabel, HalfInt, JordanBlock, Multisegment, Parameter, Segment
+from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Multisegment, Parameter, Segment,
+                      jac_theta)
 
 
 @pytest.fixture
@@ -49,3 +50,11 @@ def random_multisegment(rng: random.Random, rho, max_segments=20, span=6):
             Segment(rho, HalfInt(2 * s + off), HalfInt(2 * e + off))
         )
     return Multisegment(segs)
+
+
+def iterated_jac_theta(points, e):
+    """Reference for jac_theta_seq: one jac_theta per point, each of which
+    canonicalizes every word it makes."""
+    for rho, x in points:
+        e = jac_theta(rho, x, e)
+    return e

@@ -13,6 +13,8 @@ from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock, Ladder,
 from multiseg.core import Multisegment
 from multiseg.groth import _commute, canonical_word, commutative_image
 
+from conftest import iterated_jac_theta
+
 R = CuspidalLabel("rho")
 D2 = CuspidalLabel("tau", 2)
 
@@ -427,3 +429,105 @@ class TestJacquetMatchesLadderPeel:
                 peeled = peel(x, L)
                 want = GrothExpr.zero() if peeled is None else word(peeled)
                 assert got == want, (str(L), t, jac.__name__)
+
+
+@st.composite
+def _theta_segments(draw):
+    """Segments [s..-s], which a run of theta-peels shrinks to the middle."""
+    s = 2 * draw(st.integers(-4, 4)) + draw(st.integers(0, 1))
+    return Ladder(draw(st.sampled_from([R, D2])), ((s, -s),))
+
+
+@st.composite
+def _chains(draw):
+    """A random expression and 2-6 points along which jac_theta mostly keeps
+    some term: each point is a row start, in the expression reached so far,
+    whose theta-peel is nonzero, or one time in six any point.  The chain
+    stops early when no row start is live."""
+    atoms = st.one_of(_theta_segments(), _theta_segments(), _ladders())
+    words = draw(st.lists(st.lists(atoms, max_size=4), min_size=1, max_size=4))
+    e = GrothExpr((canonical_word(w), draw(st.sampled_from([1, -1, 2]))) for w in words)
+    cur, points = e, []
+    for _ in range(draw(st.integers(2, 6))):
+        starts = {(a.rho, HalfInt(s)) for w in cur.terms for a in w for s, _ in a.rows}
+        live = sorted((p for p in starts if not jac_theta(*p, cur).is_zero),
+                      key=lambda p: (p[0].name, p[1]))
+        if not live:
+            break
+        if draw(st.integers(0, 5)):
+            p = draw(st.sampled_from(live))
+        else:
+            p = (draw(st.sampled_from([R, D2])), HalfInt(draw(st.integers(-9, 9))))
+        points.append(p)
+        cur = jac_theta(*p, cur)
+    return e, points
+
+
+class TestThetaSeqChain:
+    """jac_theta_seq runs a whole chain on positional words and canonicalizes
+    once; iterated jac_theta is the reference."""
+
+    def test_empty_points_or_zero_return_e(self):
+        e = word(atom(1, 0))
+        assert jac_theta_seq([], e) is e
+        assert jac_theta_seq(iter(()), e) is e
+        zero = GrothExpr.zero()
+        assert jac_theta_seq([(R, hi(1))], zero) is zero
+
+    def test_nothing_peels(self):
+        e = word(atom(1, -1), atom(5, 5))
+        assert jac_theta_seq([(R, hi(3))], e).is_zero
+        assert jac_theta_seq([(D2, hi(1))], e).is_zero
+
+    def test_segment_emptied_mid_chain(self):
+        # x = 1 empties [1..1] and [-1..-1]; the emptied atoms keep their
+        # places and never peel again, not even at the last x = 1, while
+        # [3..-3] is peeled down to [0..0]
+        e = word(atom(1, 1), atom(-1, -1), atom(3, -3))
+        points = [(R, hi(x)) for x in (1, 3, 2, 1)]
+        got = jac_theta_seq(points, e)
+        assert got == word(atom(0, 0)) == iterated_jac_theta(points, e)
+
+    def test_same_atom_twice(self):
+        a = atom(1, -1)
+        e = word(a, a)
+        want = (word(atom(0, 0), a) + word(atom(0, -1), atom(1, 0))
+                + word(atom(1, 0), atom(0, -1)) + word(a, atom(0, 0)))
+        assert jac_theta_seq([(R, hi(1))], e) == want
+        points = [(R, hi(1)), (R, hi(0))]
+        assert jac_theta_seq(points, e) == iterated_jac_theta(points, e)
+
+    def test_equal_atoms_held_by_distinct_objects(self):
+        a1, a2 = atom(2, -2), atom(2, -2)
+        assert a1 == a2 and a1 is not a2
+        # the peel at 2 turns [2..-2] into [1..-2], equal to an atom already held
+        e = word(a1, atom(6, 6)) - word(atom(9, 9), a2) + 2 * word(atom(1, -2), atom(4, 4))
+        points = [(R, hi(2)), (R, hi(1))]
+        got = jac_theta_seq(points, e)
+        assert not got.is_zero
+        assert got == iterated_jac_theta(points, e)
+
+    def test_terms_cancel_partway(self):
+        # after x = 1 the first two words both give [0..0][5..-5], but their
+        # positional forms differ (the second keeps an emptied [-1..-1]), so
+        # they cancel only when the chain canonicalizes at the end
+        tail = atom(5, -5)
+        cancelling = word(atom(1, -1), tail) - word(atom(1, 0), atom(-1, -1), tail)
+        points = [(R, hi(1)), (R, hi(5))]
+        assert jac_theta(R, hi(1), cancelling).is_zero
+        assert jac_theta_seq(points, cancelling).is_zero
+        e = cancelling + 3 * word(atom(1, -1), atom(3, 3), tail)
+        assert jac_theta_seq(points, e) == 3 * word(atom(0, 0), atom(3, 3), atom(4, -4))
+
+    def test_points_as_generator(self):
+        e = word(atom(3, -3), atom(-1, 1))
+        points = [(R, hi(x)) for x in (3, 2, 1)]
+        got = jac_theta_seq((p for p in points), e)
+        assert not got.is_zero
+        assert got == iterated_jac_theta(points, e)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_chains())
+    def test_random_chains(self, chain):
+        e, points = chain
+        assert jac_theta_seq(points, e) == iterated_jac_theta(points, e)

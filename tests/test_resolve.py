@@ -6,14 +6,14 @@ import pytest
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock,
                       Ladder, Parameter, Quad, SegmentAtom, degree_conserved,
                       distinguished_word, induce, is_discrete_diagonal,
-                      jac_left, jac_theta, resolve_block,
+                      jac_left, jac_theta, jac_theta_seq, resolve_block,
                       ladder_multisegment, resolve_general, resolve_param,
                       to_quad, total_size, trunc_ladder, verify_cancellation)
-from multiseg import resolve
+from multiseg import groth, resolve
 from multiseg.groth import commutative_image
-from multiseg.params import from_quad
+from multiseg.params import dominate, from_quad
 
-from conftest import random_small_parameter
+from conftest import iterated_jac_theta, random_small_parameter
 
 R = CuspidalLabel("rho")
 S = CuspidalLabel("sig")
@@ -318,3 +318,69 @@ class TestOneSumPerStep:
         monkeypatch.setattr(resolve, "_expand", _reference_expand)
         psi = Parameter([JordanBlock(R, 6, 6)])
         assert self._count_operators(monkeypatch, lambda: resolve_param(psi)) > 0
+
+
+def _two_label_parameters(max_n):
+    """One or two blocks over rho with 1 <= a, b <= 3, plus one block over
+    sig or tau (d = 2) with 1 <= a, b <= 3, and n <= max_n."""
+    shapes = [(a, b) for a in range(1, 4) for b in range(1, 4)]
+    for k in (1, 2):
+        for own in combinations_with_replacement(shapes, k):
+            for label in (S, D2):
+                for a, b in shapes:
+                    psi = Parameter([JordanBlock(R, c, d) for c, d in own]
+                                    + [JordanBlock(label, a, b)])
+                    if psi.n <= max_n:
+                        yield psi
+
+
+class TestChainOracle:
+    """jac_theta_seq, which runs the chain on positional words and
+    canonicalizes once, equals iterated jac_theta on the domination chains:
+    psi-tilde and the peel list come from dominate."""
+
+    @staticmethod
+    def _check(psis, rule="minimal"):
+        seen = peeled = 0
+        for psi in psis:
+            psi_t, peel = dominate(psi, rule=rule)
+            e = resolve_param(psi_t).expr
+            assert jac_theta_seq(peel, e) == iterated_jac_theta(peel, e), str(psi)
+            seen += 1
+            peeled += bool(peel)
+        return seen, peeled
+
+    @pytest.mark.parametrize("rule, max_n, counts",
+                             [("minimal", 16, (468, 338)), ("staircase", 12, (278, 278))])
+    def test_one_label(self, rule, max_n, counts):
+        assert self._check(_one_label_parameters(max_n), rule) == counts
+
+    def test_two_labels(self):
+        assert self._check(_two_label_parameters(10)) == (344, 121)
+
+    def test_heavy_chain(self):
+        psi = Parameter([JordanBlock(R, 3, 3), JordanBlock(R, 3, 3), JordanBlock(R, 2, 2)])
+        assert self._check([psi]) == (1, 1)
+
+
+class TestCanonicalWordGetsTuples:
+    """Every canonical_word call in the pipeline gets a tuple, which the
+    benchmark's tracer measures with len()."""
+
+    @pytest.mark.parametrize("psi", [
+        Parameter([JordanBlock(R, 3, 1), JordanBlock(R, 3, 3)]),
+        Parameter([JordanBlock(R, 2, 2), JordanBlock(R, 3, 1), JordanBlock(S, 2, 3)]),
+    ], ids=str)
+    def test_resolve_general(self, monkeypatch, psi):
+        kinds = []
+        orig = groth.canonical_word
+
+        def recording(atoms):
+            kinds.append(type(atoms))
+            return orig(atoms)
+
+        for mod in (groth, resolve):
+            monkeypatch.setattr(mod, "canonical_word", recording)
+        assert dominate(psi)[1]
+        resolve_general(psi)
+        assert kinds and set(kinds) == {tuple}
