@@ -8,9 +8,9 @@ lexicographically least word of the commutation class (the normal form
 of the trace monoid), built by inserting one atom at a time into the
 normal form of the atoms before it.  Atoms carry their size, sort key, row
 spans and hash, computed once.  Jac_x acts by the Leibniz rule over word
-factors, peeling each distinct atom once per call.  A chain of theta-peels
-(jac_theta_seq) runs on positional words, tuples of indices into a table of
-interned atoms, and canonicalizes only the words it returns.
+factors.  Every Jacquet operator runs on one loop, PositionalExpr.peel, over
+positional words (tuples of indices into a table of interned atoms), and
+canonicalizes only the words it returns.
 """
 
 from __future__ import annotations
@@ -157,77 +157,86 @@ def induce(parts) -> GrothExpr:
     return GrothExpr((canonical_word(w), c) for w, c in terms)
 
 
-def _jac(left: bool, rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
-    # Each distinct atom is peeled once per call; e's words keep every atom
-    # alive until the call returns, so id() is a sound key.  An emptied atom
-    # has size 0, and canonical_word drops it.
-    name = rho.name
-    peels: dict[int, Ladder | None] = {}
+class PositionalExpr:
+    """An expression held as positional words: tuples of indices into a
+    table of its distinct atoms, interned by value.
 
-    def peeled():
-        for word, c in e.terms.items():
-            for i, atom in enumerate(word):
-                if atom.rho.name != name:
-                    continue
-                key = id(atom)
-                if key not in peels:
-                    peels[key] = peel(x, atom, left)
-                new = peels[key]
+    Peels share the table and grow it, so everything peeled from one
+    interned expression reads the same indices and each distinct index is
+    peeled once per step.  A peel only shrinks a row, so atoms that commute
+    still commute after it, and Jac acts on any representative of a
+    commutation class: words are canonicalized only on the way out.  An
+    emptied atom keeps its place with no rows, never peels again, and
+    canonical_word drops it.
+    """
+
+    __slots__ = ("atoms", "index", "terms")
+
+    def __init__(self, e: GrothExpr):
+        self.index = index = {}
+        self.terms = {tuple([index.setdefault(a, len(index)) for a in w]): c
+                      for w, c in e.terms.items()}
+        self.atoms = list(index)
+
+    def peel(self, rho: CuspidalLabel, x: HalfInt, left: bool) -> "PositionalExpr":
+        """Leibniz sum of one-sided peels at rho||^x over all word factors:
+        from the left (a row starting at x) or from the right (ending at x)."""
+        atoms, index, name = self.atoms, self.index, rho.name
+        moves = {}
+        for k in set().union(*self.terms):
+            atom = atoms[k]
+            if atom.rho.name == name:
+                new = peel(x, atom, left)
                 if new is not None:
-                    yield canonical_word(word[:i] + (new,) + word[i + 1:]), c
+                    moves[k] = j = index.setdefault(new, len(atoms))
+                    if j == len(atoms):
+                        atoms.append(new)
+        out = object.__new__(PositionalExpr)
+        out.atoms, out.index = atoms, index
+        out.terms = _sum((w[:i] + (moves[k],) + w[i + 1:], c)
+                         for w, c in self.terms.items() for i, k in enumerate(w) if k in moves)
+        return out
 
-    return GrothExpr(peeled())
+    def theta(self, rho: CuspidalLabel, x: HalfInt) -> "PositionalExpr":
+        """Two-sided peel: rho||^x from the left, then rho||^-x from the right."""
+        return self.peel(rho, x, True).peel(rho, -x, False)
+
+    def words(self):
+        """The (atom tuple, coefficient) pairs, words not canonicalized."""
+        atoms = self.atoms
+        return ((tuple(map(atoms.__getitem__, w)), c) for w, c in self.terms.items())
+
+    def canonical(self) -> GrothExpr:
+        return GrothExpr((canonical_word(w), c) for w, c in self.words())
 
 
 def jac_left(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
     """Leibniz sum of left peels at rho||^x over all word factors."""
-    return _jac(True, rho, HalfInt.of(x), e)
+    return PositionalExpr(e).peel(rho, HalfInt.of(x), True).canonical()
 
 
 def jac_right(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
-    return _jac(False, rho, HalfInt.of(x), e)
+    return PositionalExpr(e).peel(rho, HalfInt.of(x), False).canonical()
 
 
 def jac_theta(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
     """Two-sided peel: rho||^x from the left, then rho||^-x from the right."""
-    x = HalfInt.of(x)
-    return jac_right(rho, -x, jac_left(rho, x, e))
+    return PositionalExpr(e).theta(rho, HalfInt.of(x)).canonical()
 
 
 def jac_theta_seq(points, e: GrothExpr) -> GrothExpr:
     """Apply jac_theta at (rho, x) pairs in list order (first entry first).
 
-    A whole chain runs on positional words: tuples of indices into a table
-    of the distinct atoms, interned by value.  A peel only shrinks a row,
-    so atoms that commute still commute after it, and Jac acts on any
-    representative of a commutation class; only the returned words are
-    canonicalized.  An emptied atom keeps its place with no rows, never
-    peels again, and canonical_word drops it.  One-point peels (jac_left,
-    jac_right, jac_theta) keep _jac, which canonicalizes as it goes and is
-    cheaper on small expressions than interning them.
+    The whole chain runs on one PositionalExpr, and only the returned words
+    are canonicalized.
     """
     points = list(points)
     if not points or e.is_zero:
         return e
-    atoms = list(set().union(*e.terms))
-    index = {a: i for i, a in enumerate(atoms)}
-    terms = {tuple(map(index.__getitem__, w)): c for w, c in e.terms.items()}
+    pe = PositionalExpr(e)
     for rho, x in points:
-        x = HalfInt.of(x)
-        for t, left in ((x, True), (-x, False)):
-            moves = {}
-            for k in set().union(*terms):
-                atom = atoms[k]
-                if atom.rho.name == rho.name:
-                    new = peel(t, atom, left)
-                    if new is not None:
-                        moves[k] = j = index.setdefault(new, len(atoms))
-                        if j == len(atoms):
-                            atoms.append(new)
-            terms = _sum((w[:i] + (moves[k],) + w[i + 1:], c)
-                         for w, c in terms.items() for i, k in enumerate(w) if k in moves)
-    return GrothExpr((canonical_word(tuple(map(atoms.__getitem__, w))), c)
-                     for w, c in terms.items())
+        pe = pe.theta(rho, HalfInt.of(x))
+    return pe.canonical()
 
 
 def commutative_image(e: GrothExpr) -> dict:

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import HalfInt
-from .groth import (GrothExpr, SegmentAtom, canonical_word, commutative_image,
-                    jac_left, jac_theta, jac_theta_seq, total_size)
+from .groth import (GrothExpr, PositionalExpr, SegmentAtom, canonical_word,
+                    commutative_image, jac_theta_seq, total_size)
 from .ladders import Ladder, ladder_multisegment
 from .params import Parameter, Quad, _quad_sort_key, dominate, is_discrete_diagonal
 
@@ -32,18 +32,20 @@ def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> GrothExpr:
     """The expansion of block q next to the blocks rest; sub maps a tuple of
     quads to a GrothExpr.  For A = B+1 the middle is sub(rest).  Each C
     theta-peels the previous middle at zC, which is Jac^theta_{z(B+2)..zC}
-    of the first, and wraps its words in <zB..-zC> and <zC..-zB>.  All the
-    terms go into one sum.  The closing sub call comes last, which keeps
-    the resolver's trace order."""
+    of the first, and wraps its words in <zB..-zC> and <zC..-zB>.  The
+    middle is interned once and peeled on positional words, and each word
+    is canonicalized only inside its wrapping.  All the terms go into one
+    sum.  The closing sub call comes last, which keeps the resolver's trace
+    order."""
     rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
-    middle = sub(rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ()))
+    middle = PositionalExpr(sub(rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ())))
     pairs = []
     for C in range(B + 2, A + 1, 2):
         if C >= B + 4:
-            middle = jac_theta(rho, HalfInt(C * z), middle)
+            middle = middle.theta(rho, HalfInt(C * z))
         left, right = Ladder(rho, ((B * z, -C * z),)), Ladder(rho, ((C * z, -B * z),))
         sign = (-1) ** ((A - C) // 2)
-        pairs += [(canonical_word((left, *w, right)), sign * c) for w, c in middle.terms.items()]
+        pairs += [(canonical_word((left, *w, right)), sign * c) for w, c in middle.words()]
     closing = sub(rest + (Quad(rho, q.A, q.B + 1, z), Quad(rho, q.B, q.B, z)))
     sign = (-1) ** (((A - B) // 2 + 1) // 2)
     pairs += [(w, sign * c) for w, c in closing.terms.items()]
@@ -155,7 +157,8 @@ def verify_cancellation(psi: Parameter) -> dict:
     points, and the theta-peels at zeta C for C in ]B+1, A].  For a single
     block the expansion is the one-level resolve_block; otherwise the full
     recursive resolution is used.  Raises ValueError when no check applies
-    (several blocks and A = B+1), rather than report a vacuous pass.
+    (several blocks and A = B+1), rather than report a vacuous pass.  The
+    expansion is interned once, and every check peels that one table.
     """
     quads = psi.quads()
     q, _ = _leading(quads)
@@ -174,6 +177,7 @@ def verify_cancellation(psi: Parameter) -> dict:
     else:
         expr = resolve_param(psi).expr
     checks = []
+    pe = PositionalExpr(expr)
 
     def check(kind, x, val, **extra):
         checks.append({"kind": kind, "x": str(x), "vanishes": val.is_zero,
@@ -186,13 +190,13 @@ def verify_cancellation(psi: Parameter) -> dict:
         for t in range(-(A + 2), A + 3, 2):
             if t not in inside:
                 x = HalfInt(t)
-                check("jac_outside", x, jac_left(rho, x, expr))
+                check("jac_outside", x, pe.peel(rho, x, True).canonical())
         for t in range(-A, A + 1, 2):
             x = HalfInt(t)
-            check("jac_xx", x, jac_left(rho, x, jac_left(rho, x, expr)))
+            check("jac_xx", x, pe.peel(rho, x, True).peel(rho, x, True).canonical())
     for c in cs:
         x = HalfInt(c * z)
-        val = jac_theta(rho, x, expr)
+        val = pe.theta(rho, x).canonical()
         check("jac_theta", x, val, vanishes_mod_commutative=not commutative_image(val))
     return {
         "quad": str(q), "single_block": single, "checks": checks,

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Multisegment, Parameter, Segment,
-                      jac_theta)
+from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock, Multisegment, Parameter,
+                      Segment)
+from multiseg.groth import canonical_word
+from multiseg.ladders import peel
 
 
 @pytest.fixture
@@ -52,9 +54,42 @@ def random_multisegment(rng: random.Random, rho, max_segments=20, span=6):
     return Multisegment(segs)
 
 
+def reference_jac(left, rho, x, e):
+    """Reference one-point peel, independent of the positional loop in
+    multiseg.groth: the Leibniz sum of one-sided peels at rho||^x over the
+    factors of each canonical word, canonicalizing every word it makes.
+    Each distinct atom is peeled once per call; e's words keep every atom
+    alive until the call returns, so id() is a sound key.  An emptied atom
+    has size 0, and canonical_word drops it."""
+    x = HalfInt.of(x)
+    peels = {}
+
+    def peeled():
+        for word, c in e.terms.items():
+            for i, atom in enumerate(word):
+                if atom.rho.name != rho.name:
+                    continue
+                key = id(atom)
+                if key not in peels:
+                    peels[key] = peel(x, atom, left)
+                new = peels[key]
+                if new is not None:
+                    yield canonical_word(word[:i] + (new,) + word[i + 1:]), c
+
+    return GrothExpr(peeled())
+
+
+def reference_jac_theta(rho, x, e):
+    """Reference two-sided peel: reference_jac at x from the left, then at
+    -x from the right.  Looks reference_jac up at call time, so a test can
+    count its calls by patching this module."""
+    x = HalfInt.of(x)
+    return reference_jac(False, rho, -x, reference_jac(True, rho, x, e))
+
+
 def iterated_jac_theta(points, e):
-    """Reference for jac_theta_seq: one jac_theta per point, each of which
-    canonicalizes every word it makes."""
+    """Reference for jac_theta_seq: one reference_jac_theta per point, each
+    of which canonicalizes every word it makes."""
     for rho, x in points:
-        e = jac_theta(rho, x, e)
+        e = reference_jac_theta(rho, x, e)
     return e

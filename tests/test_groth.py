@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from heapq import heapify, heappop, heappush
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock, Ladder,
@@ -11,9 +11,9 @@ from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock, Ladder,
                       ladder_multisegment, parse_multisegment,
                       resolve_general, total_size)
 from multiseg.core import Multisegment
-from multiseg.groth import _commute, canonical_word, commutative_image
+from multiseg.groth import PositionalExpr, _commute, canonical_word, commutative_image
 
-from conftest import iterated_jac_theta
+from conftest import iterated_jac_theta, reference_jac, reference_jac_theta
 
 R = CuspidalLabel("rho")
 D2 = CuspidalLabel("tau", 2)
@@ -531,3 +531,68 @@ class TestThetaSeqChain:
     def test_random_chains(self, chain):
         e, points = chain
         assert jac_theta_seq(points, e) == iterated_jac_theta(points, e)
+
+
+@st.composite
+def _peel_cases(draw):
+    """A random expression, possibly zero, and a point (rho, x): an end of
+    one of its rows, or one time in four any point.  Atoms are drawn from
+    short segments (which a peel empties), theta segments and ladders, and
+    some are rebuilt as equal atoms held by distinct objects."""
+    short = st.builds(lambda s, rho: Ladder(rho, ((s, s),)),
+                      st.integers(-6, 6), st.sampled_from([R, D2]))
+    atoms = st.one_of(short, _theta_segments(), _ladders())
+    words = draw(st.lists(st.lists(atoms, max_size=4), max_size=4))
+    words = [[Ladder(a.rho, a.rows) if draw(st.booleans()) else a for a in w] for w in words]
+    e = GrothExpr((canonical_word(tuple(w)), draw(st.sampled_from([1, -1, 2]))) for w in words)
+    ends = sorted({(a.rho.name, t) for w in e.terms for a in w for row in a.rows for t in row})
+    if ends and draw(st.integers(0, 3)):
+        name, t = draw(st.sampled_from(ends))
+        rho = R if name == R.name else D2
+    else:
+        rho, t = draw(st.sampled_from([R, D2])), draw(st.integers(-9, 9))
+    return e, rho, HalfInt(t)
+
+
+# [1..1] and [-1..-1] are emptied at x = 1: by the left peel, the right
+# peel and the two sides of the theta-peel
+_EMPTIED = (word(atom(1, 1), atom(-1, -1), atom(5, 5)), R, hi(1))
+_A1, _A2 = atom(2, -2), atom(2, -2)
+# the peel at 2 turns [2..-2] into [1..-2], equal to an atom already held
+_DISTINCT = (word(_A1, atom(6, 6)) - word(atom(9, 9), _A2)
+             + 2 * word(atom(1, -2), atom(4, 4)), R, hi(2))
+# the left peel at 1 gives [0..0] with and without an emptied [1..1]
+# before it: positional words that differ, cancelling once canonical
+_CANCELLING = (word(atom(1, 1), atom(0, 0)) - word(atom(1, 0)), R, hi(1))
+
+
+class TestOnePointPeelsAgainstReference:
+    """jac_left, jac_right and jac_theta, which peel positional words and
+    canonicalize once, equal the reference peel of conftest, which
+    canonicalizes every word it makes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_peel_cases())
+    @example((GrothExpr.zero(), R, hi(1)))
+    @example(_EMPTIED)
+    @example(_DISTINCT)
+    @example(_CANCELLING)
+    def test_random_expressions(self, case):
+        e, rho, x = case
+        assert jac_left(rho, x, e) == reference_jac(True, rho, x, e)
+        assert jac_right(rho, x, e) == reference_jac(False, rho, x, e)
+        assert jac_theta(rho, x, e) == reference_jac_theta(rho, x, e)
+
+    def test_examples_reach_their_edge(self):
+        e, rho, x = _EMPTIED
+        pe = PositionalExpr(e)
+        for peeled in (pe.peel(rho, x, True), pe.peel(rho, x, False), pe.theta(rho, x)):
+            assert any(not a.rows for w, _ in peeled.words() for a in w)
+        assert jac_theta(rho, x, e) == word(atom(5, 5))
+        e, rho, x = _DISTINCT
+        held = [a for w in e.terms for a in w if a == _A1]
+        assert len(held) == 2 and held[0] is not held[1]
+        assert not jac_theta(rho, x, e).is_zero
+        e, rho, x = _CANCELLING
+        assert len(PositionalExpr(e).peel(rho, x, True).terms) == 2
+        assert jac_left(rho, x, e).is_zero

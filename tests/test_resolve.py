@@ -3,17 +3,20 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import multiseg
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock,
                       Ladder, Parameter, Quad, SegmentAtom, degree_conserved,
                       distinguished_word, induce, is_discrete_diagonal,
                       jac_left, jac_theta, jac_theta_seq, resolve_block,
                       ladder_multisegment, resolve_general, resolve_param,
                       to_quad, total_size, trunc_ladder, verify_cancellation)
-from multiseg import groth, resolve
+from multiseg import cli, groth, resolve
 from multiseg.groth import commutative_image
 from multiseg.params import dominate, from_quad
 
-from conftest import iterated_jac_theta, random_small_parameter
+import conftest
+from conftest import (iterated_jac_theta, random_small_parameter, reference_jac,
+                      reference_jac_theta)
 
 R = CuspidalLabel("rho")
 S = CuspidalLabel("sig")
@@ -241,13 +244,14 @@ class TestVerifyCancellation:
 
 def _reference_expand(q, rest, sub):
     """The expansion step as an operator chain: one GrothExpr per C, summed
-    with + and scaled with *.  Kept as the reference for resolve._expand."""
+    with + and scaled with *, peeled by the reference peel of conftest.
+    Kept as the reference for resolve._expand."""
     rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
     middle = sub(rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ()))
     out = GrothExpr.zero()
     for C in range(B + 2, A + 1, 2):
         if C >= B + 4:
-            middle = jac_theta(rho, HalfInt(C * z), middle)
+            middle = reference_jac_theta(rho, HalfInt(C * z), middle)
         left = GrothExpr.word((Ladder(rho, ((B * z, -C * z),)),))
         right = GrothExpr.word((Ladder(rho, ((C * z, -B * z),)),))
         out = out + (-1) ** ((A - C) // 2) * induce([left, middle, right])
@@ -318,6 +322,114 @@ class TestOneSumPerStep:
         monkeypatch.setattr(resolve, "_expand", _reference_expand)
         psi = Parameter([JordanBlock(R, 6, 6)])
         assert self._count_operators(monkeypatch, lambda: resolve_param(psi)) > 0
+
+
+def _reference_report(psi, monkeypatch):
+    """verify_cancellation's report rebuilt on the reference expansion and
+    the reference peel of conftest, check by check in the same order."""
+    quads = psi.quads()
+    q, _ = resolve._leading(quads)
+    rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
+    single = len(quads) == 1
+    with monkeypatch.context() as m:
+        m.setattr(resolve, "_expand", _reference_expand)
+        expr = resolve_block(q) if single else resolve_param(psi).expr
+    checks = []
+
+    def check(kind, t, val, **extra):
+        checks.append({"kind": kind, "x": str(HalfInt(t)), "vanishes": val.is_zero,
+                       **extra, "residual": len(val.terms)})
+
+    if single:
+        inside = {x * z for x in range(B, A + 1, 2)}
+        for t in range(-(A + 2), A + 3, 2):
+            if t not in inside:
+                check("jac_outside", t, reference_jac(True, rho, HalfInt(t), expr))
+        for t in range(-A, A + 1, 2):
+            once = reference_jac(True, rho, HalfInt(t), expr)
+            check("jac_xx", t, reference_jac(True, rho, HalfInt(t), once))
+    for c in range(B + 4, A + 1, 2):
+        val = reference_jac_theta(rho, HalfInt(c * z), expr)
+        check("jac_theta", c * z, val, vanishes_mod_commutative=not commutative_image(val))
+    return {
+        "quad": str(q), "single_block": single, "checks": checks,
+        "all_vanish": all(ch["vanishes"] for ch in checks),
+        "all_vanish_mod_commutative": all(
+            ch.get("vanishes_mod_commutative", ch["vanishes"]) for ch in checks),
+    }
+
+
+class TestVerifyOracle:
+    """The whole verify_cancellation report, which peels one interned
+    table, equals the report rebuilt on the reference peel."""
+
+    def test_single_blocks(self, monkeypatch):
+        psis = [Parameter([JordanBlock(R, a, b)]) for a in range(2, 9) for b in range(2, 9)]
+        assert {q.zeta for psi in psis for q in psi.quads()} == {1, -1}
+        for psi in psis:
+            assert verify_cancellation(psi) == _reference_report(psi, monkeypatch), str(psi)
+
+    def test_multi_blocks(self, monkeypatch):
+        compared = 0
+        for psi in _MULTI_BLOCKS:
+            try:
+                got = verify_cancellation(psi)
+            except ValueError:
+                continue
+            assert got == _reference_report(psi, monkeypatch), str(psi)
+            assert any(ch["kind"] == "jac_theta" for ch in got["checks"])
+            compared += 1
+        assert compared >= 3
+
+
+class TestPipelinePeelsPositionally:
+    """resolve_param and verify_cancellation peel on interned tables: they
+    never call the one-point operators jac_left, jac_right and jac_theta,
+    which intern their argument on every call."""
+
+    @staticmethod
+    def _count_peels(monkeypatch, run):
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+            return counted
+
+        for name in ("jac_left", "jac_right", "jac_theta"):
+            orig = getattr(groth, name)
+            for mod in (groth, resolve, cli, multiseg):
+                if getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, counting(name, orig))
+        monkeypatch.setattr(conftest, "reference_jac",
+                            counting("reference_jac", conftest.reference_jac))
+        run()
+        return calls
+
+    def test_resolve_param(self, monkeypatch):
+        psi = Parameter([JordanBlock(R, 8, 8)])
+        assert self._count_peels(monkeypatch, lambda: resolve_param(psi)) == []
+
+    @pytest.mark.parametrize("psi", [
+        Parameter([JordanBlock(R, 3, 3)]),
+        Parameter([JordanBlock(R, 6, 6)]),
+        Parameter([JordanBlock(R, 3, 3), JordanBlock(S, 6, 6)]),
+    ], ids=str)
+    def test_verify_cancellation(self, monkeypatch, psi):
+        assert self._count_peels(monkeypatch, lambda: verify_cancellation(psi)) == []
+
+    def test_counter_sees_the_reference_expansion(self, monkeypatch):
+        monkeypatch.setattr(resolve, "_expand", _reference_expand)
+        psi = Parameter([JordanBlock(R, 8, 8)])
+        assert self._count_peels(monkeypatch, lambda: resolve_param(psi))
+
+    def test_counter_sees_the_public_operators(self, monkeypatch):
+        e = resolve_block(Quad(R, HalfInt(6), HalfInt(0), 1))
+        x = HalfInt(4)
+        calls = self._count_peels(monkeypatch, lambda: (
+            groth.jac_left(R, x, e), groth.jac_right(R, x, e), groth.jac_theta(R, x, e)))
+        assert calls == ["jac_left", "jac_right", "jac_theta"]
 
 
 def _two_label_parameters(max_n):
