@@ -6,11 +6,11 @@ commutation of adjacent atoms whose supports are everywhere at distance
 >= 2 for a shared label; the canonical representative is the
 lexicographically least word of the commutation class (the normal form
 of the trace monoid), built by inserting one atom at a time into the
-normal form of the atoms before it.  Atoms carry their size, sort key, row
-spans and hash, computed once.  Jac_x acts by the Leibniz rule over word
-factors.  Every Jacquet operator runs on one loop, PositionalExpr.peel, over
-positional words (tuples of indices into a table of interned atoms), and
-canonicalizes only the words it returns.
+normal form of the atoms before it.  Atoms are interned ladders: equal
+atoms are one object, carrying its size, sort key and row spans.  Jac_x
+acts by the Leibniz rule over word factors.  Every Jacquet operator runs on
+one loop, PositionalExpr.peel, over positional words (atom tuples that are
+not canonicalized), and canonicalizes only the words it returns.
 """
 
 from __future__ import annotations
@@ -124,10 +124,13 @@ class GrothExpr:
         return (-1) * self
 
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda wc: (total_size(wc[0]), tuple(a.key for a in wc[0])),
-        )
+        """Terms by total size, then atom by atom by key: the distinct atoms
+        are sorted once, and words compare as tuples of their ranks."""
+        atoms = set().union(*self.terms)
+        order = {k: i for i, k in enumerate(sorted({a.key for a in atoms}))}
+        rank = {a: order[a.key] for a in atoms}
+        return sorted(self.terms.items(),
+                      key=lambda wc: (total_size(wc[0]), tuple(map(rank.__getitem__, wc[0]))))
 
     def to_json(self):
         return [
@@ -158,56 +161,41 @@ def induce(parts) -> GrothExpr:
 
 
 class PositionalExpr:
-    """An expression held as positional words: tuples of indices into a
-    table of its distinct atoms, interned by value.
+    """An expression held as positional words: atom tuples in any order of
+    their commutation class.
 
-    Peels share the table and grow it, so everything peeled from one
-    interned expression reads the same indices and each distinct index is
-    peeled once per step.  A peel only shrinks a row, so atoms that commute
-    still commute after it, and Jac acts on any representative of a
-    commutation class: words are canonicalized only on the way out.  An
-    emptied atom keeps its place with no rows, never peels again, and
-    canonical_word drops it.
+    A peel only shrinks a row, so atoms that commute still commute after it,
+    and Jac acts on any representative of a commutation class: words are
+    canonicalized only on the way out.  Each distinct atom is peeled once
+    per step.  An emptied atom keeps its place with no rows, never peels
+    again, and canonical_word drops it.
     """
 
-    __slots__ = ("atoms", "index", "terms")
+    __slots__ = ("terms",)
 
     def __init__(self, e: GrothExpr):
-        self.index = index = {}
-        self.terms = {tuple([index.setdefault(a, len(index)) for a in w]): c
-                      for w, c in e.terms.items()}
-        self.atoms = list(index)
+        self.terms = e.terms
 
     def peel(self, rho: CuspidalLabel, x: HalfInt, left: bool) -> "PositionalExpr":
         """Leibniz sum of one-sided peels at rho||^x over all word factors:
         from the left (a row starting at x) or from the right (ending at x)."""
-        atoms, index, name = self.atoms, self.index, rho.name
-        moves = {}
-        for k in set().union(*self.terms):
-            atom = atoms[k]
-            if atom.rho.name == name:
-                new = peel(x, atom, left)
+        name, moves = rho.name, {}
+        for a in set().union(*self.terms):
+            if a.rho.name == name:
+                new = peel(x, a, left)
                 if new is not None:
-                    moves[k] = j = index.setdefault(new, len(atoms))
-                    if j == len(atoms):
-                        atoms.append(new)
+                    moves[a] = new
         out = object.__new__(PositionalExpr)
-        out.atoms, out.index = atoms, index
-        out.terms = _sum((w[:i] + (moves[k],) + w[i + 1:], c)
-                         for w, c in self.terms.items() for i, k in enumerate(w) if k in moves)
+        out.terms = _sum((w[:i] + (moves[a],) + w[i + 1:], c)
+                         for w, c in self.terms.items() for i, a in enumerate(w) if a in moves)
         return out
 
     def theta(self, rho: CuspidalLabel, x: HalfInt) -> "PositionalExpr":
         """Two-sided peel: rho||^x from the left, then rho||^-x from the right."""
         return self.peel(rho, x, True).peel(rho, -x, False)
 
-    def words(self):
-        """The (atom tuple, coefficient) pairs, words not canonicalized."""
-        atoms = self.atoms
-        return ((tuple(map(atoms.__getitem__, w)), c) for w, c in self.terms.items())
-
     def canonical(self) -> GrothExpr:
-        return GrothExpr((canonical_word(w), c) for w, c in self.words())
+        return GrothExpr((canonical_word(w), c) for w, c in self.terms.items())
 
 
 def jac_left(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:

@@ -4,12 +4,15 @@ A ladder is a multisegment over one label whose rows have pairwise distinct
 starts and pairwise distinct ends, with both orders agreeing.  Rows stay
 oriented: the tableau of a quad has descending rows for zeta=+ and
 ascending rows for zeta=-.  The same type is the factor of a word in the
-formal group; a segment is a one-row ladder.
+formal group; a segment is a one-row ladder.  Ladders are hash-consed:
+each value is built once while it is alive, through a process-wide table of
+weak references, so every layer compares atoms by identity and hashes them
+with the builtin hash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from weakref import WeakValueDictionary
 
 from .core import CuspidalLabel, HalfInt, Multisegment, Segment
 from .params import Quad
@@ -24,38 +27,46 @@ def _body(rows) -> str:
     return ",".join(f"[{HalfInt(s)}..{HalfInt(e)}]" for s, e in rows)
 
 
-def _cached():
-    return field(init=False, compare=False, repr=False)
+_interned: WeakValueDictionary = WeakValueDictionary()
 
 
-@dataclass(frozen=True, slots=True)
 class Ladder:
     """Oriented rows as doubled (start, end) pairs in ladder order
     (descending start).  One row is the socle <rho||^start, ..., rho||^end>;
     orientation is meaningful.
 
-    Built once per atom and read in the word loops: size (times rho.d), the
-    sort key, one (coset parity, lo, hi) span per row, and the hash."""
+    Interned: the constructor returns the live ladder with the same label
+    data (name, d, eta, chi) and rows if there is one, so equal ladders are
+    one object, equality is identity and the hash is object's.  Built once
+    per value and read in the word loops: size (times rho.d), the sort key
+    and one (coset parity, lo, hi) span per row."""
 
-    rho: CuspidalLabel
-    rows: tuple[tuple[int, int], ...]
-    size: int = _cached()
-    spans: tuple[tuple[int, int, int], ...] = _cached()
-    key: tuple = _cached()
-    _hash: int = _cached()
+    __slots__ = ("rho", "rows", "size", "spans", "key", "__weakref__")
 
-    def __post_init__(self):
-        rows = self.rows
-        if not _is_ladder(rows):
-            raise ValueError(f"rows do not satisfy the ladder condition: {_body(rows)}")
-        put = object.__setattr__
-        put(self, "size", sum(abs(s - e) // 2 + 1 for s, e in rows) * self.rho.d)
-        put(self, "spans", tuple((s % 2, min(s, e), max(s, e)) for s, e in rows))
-        put(self, "key", (self.rho.name, len(rows) > 1, rows))
-        put(self, "_hash", hash((self.rho, rows)))
+    def __new__(cls, rho: CuspidalLabel, rows: tuple[tuple[int, int], ...]):
+        ident = (rho.name, rho.d, rho.eta, rho.chi, rows)
+        self = _interned.get(ident)
+        if self is None:
+            if not _is_ladder(rows):
+                raise ValueError(f"rows do not satisfy the ladder condition: {_body(rows)}")
+            self = object.__new__(cls)
+            put = object.__setattr__
+            put(self, "rho", rho)
+            put(self, "rows", rows)
+            put(self, "size", sum(abs(s - e) // 2 + 1 for s, e in rows) * rho.d)
+            put(self, "spans", tuple((s % 2, min(s, e), max(s, e)) for s, e in rows))
+            put(self, "key", (rho.name, len(rows) > 1, rows))
+            _interned[ident] = self
+        return self
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, *a):
+        raise AttributeError("Ladder is immutable")
+
+    def __reduce__(self):
+        return Ladder, (self.rho, self.rows)
+
+    def __repr__(self) -> str:
+        return f"Ladder({self.rho!r}, {self.rows!r})"
 
     @classmethod
     def of(cls, rho: CuspidalLabel, segments) -> "Ladder":

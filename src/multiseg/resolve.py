@@ -33,10 +33,9 @@ def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> GrothExpr:
     quads to a GrothExpr.  For A = B+1 the middle is sub(rest).  Each C
     theta-peels the previous middle at zC, which is Jac^theta_{z(B+2)..zC}
     of the first, and wraps its words in <zB..-zC> and <zC..-zB>.  The
-    middle is interned once and peeled on positional words, and each word
-    is canonicalized only inside its wrapping.  All the terms go into one
-    sum.  The closing sub call comes last, which keeps the resolver's trace
-    order."""
+    middle is peeled on positional words, and each word is canonicalized
+    only inside its wrapping.  All the terms go into one sum.  The closing
+    sub call comes last, which keeps the resolver's trace order."""
     rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
     middle = PositionalExpr(sub(rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ())))
     pairs = []
@@ -45,7 +44,7 @@ def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> GrothExpr:
             middle = middle.theta(rho, HalfInt(C * z))
         left, right = Ladder(rho, ((B * z, -C * z),)), Ladder(rho, ((C * z, -B * z),))
         sign = (-1) ** ((A - C) // 2)
-        pairs += [(canonical_word((left, *w, right)), sign * c) for w, c in middle.words()]
+        pairs += [(canonical_word((left, *w, right)), sign * c) for w, c in middle.terms.items()]
     closing = sub(rest + (Quad(rho, q.A, q.B + 1, z), Quad(rho, q.B, q.B, z)))
     sign = (-1) ** (((A - B) // 2 + 1) // 2)
     pairs += [(w, sign * c) for w, c in closing.terms.items()]
@@ -157,8 +156,8 @@ def verify_cancellation(psi: Parameter) -> dict:
     points, and the theta-peels at zeta C for C in ]B+1, A].  For a single
     block the expansion is the one-level resolve_block; otherwise the full
     recursive resolution is used.  Raises ValueError when no check applies
-    (several blocks and A = B+1), rather than report a vacuous pass.  The
-    expansion is interned once, and every check peels that one table.
+    (several blocks and A = B+1), rather than report a vacuous pass.  Every
+    check peels the expansion's words positionally.
     """
     quads = psi.quads()
     q, _ = _leading(quads)

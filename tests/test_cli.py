@@ -14,6 +14,7 @@ import multiseg
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, Ladder, Quad,
                       parse_parameter_file, render_parameter_file,
                       resolve_block)
+from multiseg import ladders
 from multiseg.cli import _dumps, build_parser, main
 from multiseg.groth import canonical_word
 from multiseg.paramfile import ParamFileError
@@ -436,3 +437,21 @@ class TestParserBuiltOnce:
             gc.set_debug(flags)
             gc.garbage.clear()
         assert leaked == []
+
+
+class TestNoCrossCallState:
+    """Atoms are interned only while something holds them: once a call
+    returns, the intern table keeps none of the atoms it built."""
+
+    def test_resolve_leaves_no_atom_interned(self, tmp_path, capsys):
+        path = tmp_path / "heavy.txt"
+        path.write_text("cuspidal xi\nblock xi 3 3\nblock xi 3 3\nblock xi 2 2\n")
+
+        def held():
+            return [key for key in ladders._interned.keys() if key[0] == "xi"]
+
+        assert held() == []
+        assert main(["resolve", "--json", str(path)]) == 0
+        terms = json.loads(capsys.readouterr().out)["terms"]
+        assert len(terms) > 4000 and all(a["rho"] == "xi" for t in terms for a in t["word"])
+        assert held() == []

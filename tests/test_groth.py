@@ -211,6 +211,31 @@ class TestInsertionAgainstHeapSort:
             assert canonical_word(atoms) == _heap_canonical_word(atoms), atoms
 
 
+class TestSortedTermsByRank:
+    """sorted_terms compares words as tuples of per-atom ranks, from one
+    sort of the distinct atoms; the reference compares the tuples of the
+    atoms' keys."""
+
+    @staticmethod
+    def _by_keys(e):
+        return sorted(e.terms.items(),
+                      key=lambda wc: (total_size(wc[0]), tuple(a.key for a in wc[0])))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.lists(_ladders(), max_size=5),
+                              st.integers(-3, 3).filter(bool)), max_size=8))
+    def test_random_expressions(self, pairs):
+        e = GrothExpr((canonical_word(tuple(w)), c) for w, c in pairs)
+        assert e.sorted_terms() == self._by_keys(e)
+
+    def test_heavy_resolution(self):
+        psi = Parameter([JordanBlock(R, 3, 3), JordanBlock(R, 3, 3),
+                         JordanBlock(R, 2, 2)])
+        e = resolve_general(psi).expr
+        assert len(e.terms) > 4000
+        assert e.sorted_terms() == self._by_keys(e)
+
+
 def _linked(p, q) -> bool:
     """Linkage of two (label, doubled points) pairs from _points."""
     return p[0] == q[0] and any(abs(x - y) in (0, 2) for x in p[1] for y in q[1])
@@ -497,11 +522,12 @@ class TestThetaSeqChain:
         points = [(R, hi(1)), (R, hi(0))]
         assert jac_theta_seq(points, e) == iterated_jac_theta(points, e)
 
-    def test_equal_atoms_held_by_distinct_objects(self):
-        a1, a2 = atom(2, -2), atom(2, -2)
-        assert a1 == a2 and a1 is not a2
-        # the peel at 2 turns [2..-2] into [1..-2], equal to an atom already held
-        e = word(a1, atom(6, 6)) - word(atom(9, 9), a2) + 2 * word(atom(1, -2), atom(4, 4))
+    def test_peel_onto_an_atom_already_held(self):
+        held = atom(1, -2)
+        # the peel at 2 turns [2..-2] into [1..-2], the atom already held
+        e = (word(atom(2, -2), atom(6, 6)) - word(atom(9, 9), atom(2, -2))
+             + 2 * word(held, atom(4, 4)))
+        assert PositionalExpr(e).peel(R, hi(2), True).terms[(held, atom(6, 6))] == 1
         points = [(R, hi(2)), (R, hi(1))]
         got = jac_theta_seq(points, e)
         assert not got.is_zero
@@ -537,13 +563,11 @@ class TestThetaSeqChain:
 def _peel_cases(draw):
     """A random expression, possibly zero, and a point (rho, x): an end of
     one of its rows, or one time in four any point.  Atoms are drawn from
-    short segments (which a peel empties), theta segments and ladders, and
-    some are rebuilt as equal atoms held by distinct objects."""
+    short segments (which a peel empties), theta segments and ladders."""
     short = st.builds(lambda s, rho: Ladder(rho, ((s, s),)),
                       st.integers(-6, 6), st.sampled_from([R, D2]))
     atoms = st.one_of(short, _theta_segments(), _ladders())
     words = draw(st.lists(st.lists(atoms, max_size=4), max_size=4))
-    words = [[Ladder(a.rho, a.rows) if draw(st.booleans()) else a for a in w] for w in words]
     e = GrothExpr((canonical_word(tuple(w)), draw(st.sampled_from([1, -1, 2]))) for w in words)
     ends = sorted({(a.rho.name, t) for w in e.terms for a in w for row in a.rows for t in row})
     if ends and draw(st.integers(0, 3)):
@@ -557,10 +581,9 @@ def _peel_cases(draw):
 # [1..1] and [-1..-1] are emptied at x = 1: by the left peel, the right
 # peel and the two sides of the theta-peel
 _EMPTIED = (word(atom(1, 1), atom(-1, -1), atom(5, 5)), R, hi(1))
-_A1, _A2 = atom(2, -2), atom(2, -2)
-# the peel at 2 turns [2..-2] into [1..-2], equal to an atom already held
-_DISTINCT = (word(_A1, atom(6, 6)) - word(atom(9, 9), _A2)
-             + 2 * word(atom(1, -2), atom(4, 4)), R, hi(2))
+# the peel at 2 turns [2..-2] into [1..-2], an atom already held
+_HELD = (word(atom(2, -2), atom(6, 6)) - word(atom(9, 9), atom(2, -2))
+         + 2 * word(atom(1, -2), atom(4, 4)), R, hi(2))
 # the left peel at 1 gives [0..0] with and without an emptied [1..1]
 # before it: positional words that differ, cancelling once canonical
 _CANCELLING = (word(atom(1, 1), atom(0, 0)) - word(atom(1, 0)), R, hi(1))
@@ -575,7 +598,7 @@ class TestOnePointPeelsAgainstReference:
     @given(_peel_cases())
     @example((GrothExpr.zero(), R, hi(1)))
     @example(_EMPTIED)
-    @example(_DISTINCT)
+    @example(_HELD)
     @example(_CANCELLING)
     def test_random_expressions(self, case):
         e, rho, x = case
@@ -587,11 +610,12 @@ class TestOnePointPeelsAgainstReference:
         e, rho, x = _EMPTIED
         pe = PositionalExpr(e)
         for peeled in (pe.peel(rho, x, True), pe.peel(rho, x, False), pe.theta(rho, x)):
-            assert any(not a.rows for w, _ in peeled.words() for a in w)
+            assert any(not a.rows for w in peeled.terms for a in w)
         assert jac_theta(rho, x, e) == word(atom(5, 5))
-        e, rho, x = _DISTINCT
-        held = [a for w in e.terms for a in w if a == _A1]
-        assert len(held) == 2 and held[0] is not held[1]
+        e, rho, x = _HELD
+        held = atom(1, -2)
+        assert any(held in w for w in e.terms)
+        assert any(held in w for w in PositionalExpr(e).peel(rho, x, True).terms)
         assert not jac_theta(rho, x, e).is_zero
         e, rho, x = _CANCELLING
         assert len(PositionalExpr(e).peel(rho, x, True).terms) == 2

@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 
 import pytest
 
 from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Ladder,
-                      Multisegment, Quad, Segment, ladder_multisegment,
+                      Multisegment, Quad, Segment, SegmentAtom, ladder_multisegment,
                       peel_left, peel_right, tableau_cols, to_quad,
                       trunc_ladder)
 from multiseg.ladders import _is_ladder, peel
@@ -87,6 +89,48 @@ class TestAtomData:
                 assert L.size == sum(len(s.elements()) for s in segs) * d
                 assert L.key == (name, k > 1, rows)
             assert direct == built and hash(direct) == hash(built)
+
+
+class TestInterning:
+    """Equal ladders are one object however they are built, so equality is
+    identity; the key is the label's name, d, eta and chi with the rows."""
+
+    def test_equal_values_are_one_object(self):
+        rows = ((6, -4), (4, -6))
+        built = [Ladder(R, rows), Ladder(CuspidalLabel("rho"), rows),
+                 Ladder.of(R, [seg(2, -3), seg(3, -2)]),
+                 ladder_multisegment(quad(3, 2)),
+                 trunc_ladder(quad(3, 0), hi(1)),
+                 peel(hi(4), Ladder(R, ((8, -4), (4, -6))), True)]
+        assert all(L is built[0] for L in built)
+        one_row = [Ladder(R, ((2, -2),)), SegmentAtom(R, hi(1), hi(-1)),
+                   Ladder.of(R, [seg(1, -1)]), ladder_multisegment(quad(1, 1)),
+                   peel(hi(2), SegmentAtom(R, hi(2), hi(-1)), True),
+                   peel(hi(-2), SegmentAtom(R, hi(1), hi(-2)), False)]
+        assert all(L is one_row[0] for L in one_row)
+        assert trunc_ladder(quad(3, 0), hi(2)) is lad((3, -1), (1, -3))
+
+    def test_label_data_and_rows_keep_atoms_apart(self):
+        rows = ((2, 0),)
+        atoms = [Ladder(R, rows), Ladder(CuspidalLabel("rho", 2), rows),
+                 Ladder(CuspidalLabel("rho", 1, 1), rows),
+                 Ladder(CuspidalLabel("rho", 1, 1, -1), rows),
+                 Ladder(CuspidalLabel("sig"), rows), Ladder(R, ((0, 2),))]
+        assert len(set(map(id, atoms))) == len(atoms)
+        assert atoms[1].size == 2 * atoms[0].size
+
+    def test_copies_are_the_interned_object(self):
+        L = lad((3, -1), (1, -3))
+        assert copy.copy(L) is L
+        assert copy.deepcopy(L) is L
+        assert copy.deepcopy((L, [L])) == (L, [L])
+        assert pickle.loads(pickle.dumps(L)) is L
+
+    def test_immutable(self):
+        L = lad((1, 0))
+        with pytest.raises(AttributeError):
+            L.rows = ((4, 4),)
+        assert L.rows == ((2, 0),)
 
 
 class TestTableauCols:

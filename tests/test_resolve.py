@@ -10,7 +10,7 @@ from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock,
                       jac_left, jac_theta, jac_theta_seq, resolve_block,
                       ladder_multisegment, resolve_general, resolve_param,
                       to_quad, total_size, trunc_ladder, verify_cancellation)
-from multiseg import cli, groth, resolve
+from multiseg import cli, groth, parse_parameter_file, resolve
 from multiseg.groth import commutative_image
 from multiseg.params import dominate, from_quad
 
@@ -360,8 +360,8 @@ def _reference_report(psi, monkeypatch):
 
 
 class TestVerifyOracle:
-    """The whole verify_cancellation report, which peels one interned
-    table, equals the report rebuilt on the reference peel."""
+    """The whole verify_cancellation report, which peels one
+    PositionalExpr, equals the report rebuilt on the reference peel."""
 
     def test_single_blocks(self, monkeypatch):
         psis = [Parameter([JordanBlock(R, a, b)]) for a in range(2, 9) for b in range(2, 9)]
@@ -383,9 +383,9 @@ class TestVerifyOracle:
 
 
 class TestPipelinePeelsPositionally:
-    """resolve_param and verify_cancellation peel on interned tables: they
-    never call the one-point operators jac_left, jac_right and jac_theta,
-    which intern their argument on every call."""
+    """resolve_param and verify_cancellation peel one PositionalExpr per
+    expression: they never call the one-point operators jac_left, jac_right
+    and jac_theta, which canonicalize after every point."""
 
     @staticmethod
     def _count_peels(monkeypatch, run):
@@ -430,6 +430,22 @@ class TestPipelinePeelsPositionally:
         calls = self._count_peels(monkeypatch, lambda: (
             groth.jac_left(R, x, e), groth.jac_right(R, x, e), groth.jac_theta(R, x, e)))
         assert calls == ["jac_left", "jac_right", "jac_theta"]
+
+
+class TestInternKeyedByLabelData:
+    """Atoms are interned on the label's data, not its name alone: label
+    names recur with another d across parameter files in one process."""
+
+    def test_same_name_other_d(self):
+        res = []
+        for d in (1, 2):
+            psi, _ = parse_parameter_file(f"cuspidal rho d={d}\nblock rho 3 3\n")
+            res.append(resolve_param(psi))
+        one, two = (distinguished_word(r.psi) for r in res)
+        assert one and len(one) == len(two)
+        for a, b in zip(one, two):
+            assert a is not b and a.rows == b.rows and 2 * a.size == b.size
+        assert all(map(degree_conserved, res))
 
 
 def _two_label_parameters(max_n):
