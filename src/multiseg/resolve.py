@@ -4,10 +4,16 @@ A block with A > B is expanded into the signed sum over C in ]B, A] of
   (-1)^(A-C)  <zB..-zC> x Jac^theta_{z(B+2)..zC}( rest x (A,B+2,z) ) x <zC..-zB>
 plus the closing term (-1)^[(A-B+1)/2] (rest x (A,B+1,z) x (B,B,z)).
 _expand writes this sum once, with sub() giving the words of the smaller
-parameters.  The recursive resolver passes itself as sub, so every surviving
-word is a product of oriented segment atoms; resolve_block is one step of
-that resolver with the tableaux as leaves, so its truncated tableaux (the
+parameters.  resolve_param's recursion passes itself as sub, so every
+surviving word is a product of oriented segment atoms; resolve_block is one
+step of it with the tableaux as leaves, so its truncated tableaux (the
 theta-peels of one tableau) stay ladder atoms.
+
+The recursion is a tree, so it keeps no memo.  Both sub calls shrink (A, B)
+inside [B, A], and every call stays discrete diagonal.  They never meet
+again: only the closing call holds (B, B), which no step removes and no
+quad of the middle call's tree reaches.  Sum(A-B) falls by 2 through the
+middle call and by 1 through the closing one: the depth is exactly Sum(A-B).
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ def resolve_block(q: Quad) -> GrothExpr:
 
 def _leading(quads, pick=max):
     """The expandable block (A > B) that pick selects by _quad_sort_key, or
-    None when every block is elementary, and the other quads in order."""
+    None when every block is elementary, and the other quads as given."""
     expandable = [q for q in quads if q.A > q.B]
     if not expandable:
         return None, list(quads)
@@ -104,39 +110,32 @@ def distinguished_word(psi: Parameter):
     return canonical_word(build(psi.quads()))
 
 
-class _Resolver:
-    def __init__(self, block_choice: str = "largest"):
-        if block_choice not in ("largest", "smallest"):
-            raise ValueError(f"unknown block choice {block_choice!r}")
-        self.pick = max if block_choice == "largest" else min
-        self.memo: dict = {}
-        self.trace: list = []
-
-    def resolve(self, quads: tuple[Quad, ...]) -> GrothExpr:
-        key = tuple(sorted(quads, key=_quad_sort_key))
-        if key in self.memo:
-            return self.memo[key]
-        q, rest = _leading(key, self.pick)
-        if q is None:
-            self.trace.append({"case": "elementary", "blocks": [str(q) for q in key]})
-            expr = _elementary_word(key)
-        else:
-            self.trace.append({
-                "case": "A=B+1" if q.A == q.B + 1 else "A>B+1",
-                "block": str(q),
-            })
-            expr = _expand(q, tuple(rest), self.resolve)
-        self.memo[key] = expr
-        return expr
-
-
 def resolve_param(psi: Parameter, block_choice: str = "largest") -> Resolution:
-    """Full recursive resolution of a discrete-diagonal parameter."""
+    """Full recursive resolution of a discrete-diagonal parameter.  A depth
+    Sum(A-B) past the interpreter's recursion limit raises ValueError."""
     if not is_discrete_diagonal(psi):
         raise ValueError("resolve_param needs a parameter of discrete diagonal restriction")
-    r = _Resolver(block_choice)
-    expr = r.resolve(psi.quads())
-    return Resolution(psi, expr, r.trace)
+    if block_choice not in ("largest", "smallest"):
+        raise ValueError(f"unknown block choice {block_choice!r}")
+    pick = max if block_choice == "largest" else min
+    trace: list = []
+
+    def resolve(quads: tuple[Quad, ...]) -> GrothExpr:
+        q, rest = _leading(quads, pick)
+        if q is None:
+            ordered = sorted(quads, key=_quad_sort_key)
+            trace.append({"case": "elementary", "blocks": [str(b) for b in ordered]})
+            return _elementary_word(quads)
+        trace.append({"case": "A=B+1" if q.A == q.B + 1 else "A>B+1", "block": str(q)})
+        return _expand(q, tuple(rest), resolve)
+
+    try:
+        expr = resolve(psi.quads())
+    except RecursionError:
+        depth = sum(q.A.twice - q.B.twice for q in psi.quads()) // 2
+        raise ValueError(f"resolution too deep: Sum(A-B) = {depth} nested expansions "
+                         "exceed the interpreter's recursion limit") from None
+    return Resolution(psi, expr, trace)
 
 
 def resolve_general(psi: Parameter, rule: str = "minimal") -> Resolution:

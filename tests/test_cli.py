@@ -408,6 +408,28 @@ class TestClosedPipe:
         assert (proc.returncode, proc.stderr) == (1, "")
 
 
+class TestRecursionTooDeep:
+    """A resolution deeper than the interpreter's recursion limit ends with
+    one error: line and exit 1.  The 500 blocks (2 + 4j, 2) are already
+    discrete diagonal, each with A - B = 1, so the resolver nests 500
+    expansions at once without a long domination step first."""
+
+    @pytest.mark.parametrize("argv", [["resolve"], ["jacquet", "--rho", "rho", "--x", "1"]],
+                             ids=["resolve", "jacquet"])
+    def test_no_traceback(self, argv, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text("cuspidal rho\n" + "".join(f"block rho {2 + 4 * j} 2\n"
+                                                   for j in range(500)))
+        env = {**os.environ, "PYTHONPATH": str(Path(multiseg.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "multiseg.cli", *argv, str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Sum(A-B) = 500" in proc.stderr
+
+
 class TestParserBuiltOnce:
     """One argparse tree per process: repeated in-process calls reuse it and
     leave no parser behind as cyclic garbage."""

@@ -12,7 +12,7 @@ from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock,
                       to_quad, total_size, trunc_ladder, verify_cancellation)
 from multiseg import cli, groth, parse_parameter_file, resolve
 from multiseg.groth import commutative_image
-from multiseg.params import dominate, from_quad
+from multiseg.params import _quad_sort_key, dominate, from_quad
 
 import conftest
 from conftest import (iterated_jac_theta, random_small_parameter, reference_jac,
@@ -291,6 +291,89 @@ class TestExpandOracle:
         assert len(got) == len(want) == 36 * 3 + 5 * 2
         for g, w in zip(got, want):
             assert g == w
+
+
+
+class _QuadMultiset(tuple):
+    """Sorted quads with the one method is_discrete_diagonal reads."""
+
+    def quads(self):
+        return self
+
+
+def _tree_visits(quads, pick):
+    """resolve_param's recursion re-derived on quads alone: one (trace entry,
+    sorted quad multiset, depth) per call, in call order.  Shares only
+    _quad_sort_key with the package."""
+    out = []
+
+    def visit(quads, depth):
+        key = _QuadMultiset(sorted(quads, key=_quad_sort_key))
+        expandable = [q for q in key if q.A > q.B]
+        if not expandable:
+            out.append(({"case": "elementary", "blocks": list(map(str, key))}, key, depth))
+            return
+        q = pick(expandable, key=_quad_sort_key)
+        rest = list(key)
+        rest.remove(q)
+        wide = q.A.twice > q.B.twice + 2
+        out.append(({"case": "A>B+1" if wide else "A=B+1", "block": str(q)}, key, depth))
+        visit(rest + ([Quad(q.rho, q.A, q.B + 2, q.zeta)] if wide else []), depth + 1)
+        visit(rest + [Quad(q.rho, q.A, q.B + 1, q.zeta), Quad(q.rho, q.B, q.B, q.zeta)],
+              depth + 1)
+
+    visit(quads, 0)
+    return out
+
+
+def _tree_parameters(two_labels, max_ab, max_n):
+    """1-3 blocks with 1 <= a, b <= max_ab and n <= max_n, over rho alone or
+    split over rho and sig in every way that uses both; each
+    non-discrete-diagonal one is replaced by its psi-tilde."""
+    shapes = [(a, b) for a in range(1, max_ab + 1) for b in range(1, max_ab + 1)]
+    for k in (1, 2, 3):
+        for blocks in combinations_with_replacement(shapes, k):
+            if sum(a * b for a, b in blocks) > max_n:
+                continue
+            for split in range(1, k) if two_labels else (k,):
+                labels = [R] * split + [S] * (k - split)
+                psi = Parameter([JordanBlock(r, a, b) for r, (a, b) in zip(labels, blocks)])
+                yield psi if is_discrete_diagonal(psi) else dominate(psi)[0]
+
+
+class TestResolverIsATree:
+    """resolve_param keeps no memo because no call could hit one: no sorted
+    quad multiset is visited twice, every visited one is discrete diagonal,
+    and the depth is Sum(A-B).  The recursion is re-derived on quads and
+    checked against resolve_param's trace entry for entry."""
+
+    @staticmethod
+    def _check(psis):
+        seen = deepest = 0
+        for psi in psis:
+            depth = sum(q.A.twice - q.B.twice for q in psi.quads()) // 2
+            keys = set()
+            for choice, pick in (("largest", max), ("smallest", min)):
+                visits = _tree_visits(psi.quads(), pick)
+                assert [v[0] for v in visits] == resolve_param(psi, choice).trace, str(psi)
+                assert len({v[1] for v in visits}) == len(visits), str(psi)
+                assert max(v[2] for v in visits) == depth, str(psi)
+                keys.update(v[1] for v in visits)
+            assert all(map(is_discrete_diagonal, keys)), str(psi)
+            seen += 1
+            deepest = max(deepest, depth)
+        return seen, deepest
+
+    def test_one_label(self):
+        assert self._check(_tree_parameters(False, 4, 20)) == (650, 4)
+
+    def test_two_labels(self):
+        assert self._check(_tree_parameters(True, 3, 20)) == (357, 4)
+
+    def test_heavy_tilde(self):
+        heavy = [Parameter([JordanBlock(R, 3, 3)] * 2 + [JordanBlock(R, 2, 2)]),
+                 Parameter([JordanBlock(R, 4, 4)] * 2)]
+        assert self._check(dominate(psi)[0] for psi in heavy) == (2, 6)
 
 
 class TestOneSumPerStep:
