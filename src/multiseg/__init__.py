@@ -1,5 +1,7 @@
 """Exact segment combinatorics for twisted general linear groups."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (CuspidalLabel, HalfInt, IdentityError, Multisegment,
                    Segment, mw_dual, parse_multisegment, support)
 from .groth import (GrothExpr, SegmentAtom, gl_multisegment, induce,
@@ -21,4 +23,5 @@ from .wedges import (Composition, check_nilpotent, check_subset_homology,
                      check_theta_sign, compositions, subset_complex_homology,
                      xi_sign)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here too by the imports above; they are not API names
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

@@ -54,26 +54,16 @@ class HalfInt:
     def __add__(self, other) -> "HalfInt":
         return HalfInt(self.twice + HalfInt.of(other).twice)
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "HalfInt":
         return HalfInt(self.twice - HalfInt.of(other).twice)
 
-    def __rsub__(self, other) -> "HalfInt":
-        return HalfInt(HalfInt.of(other).twice - self.twice)
-
     def __neg__(self) -> "HalfInt":
         return HalfInt(-self.twice)
-
-    def __abs__(self) -> "HalfInt":
-        return HalfInt(abs(self.twice))
 
     def __mul__(self, k: int) -> "HalfInt":
         if not isinstance(k, int):
             raise TypeError("HalfInt can only be scaled by an integer")
         return HalfInt(self.twice * k)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:

@@ -94,10 +94,6 @@ class GrothExpr:
         raise AttributeError("GrothExpr is immutable")
 
     @staticmethod
-    def zero() -> "GrothExpr":
-        return GrothExpr()
-
-    @staticmethod
     def word(atoms, coeff: int = 1) -> "GrothExpr":
         return GrothExpr(((canonical_word(tuple(atoms)), coeff),))
 
@@ -107,21 +103,6 @@ class GrothExpr:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GrothExpr) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "GrothExpr") -> "GrothExpr":
-        return GrothExpr([*self.terms.items(), *other.terms.items()])
-
-    def __sub__(self, other: "GrothExpr") -> "GrothExpr":
-        return self + (-1) * other
-
-    def __rmul__(self, k: int) -> "GrothExpr":
-        return GrothExpr((w, k * c) for w, c in self.terms.items())
-
-    def __neg__(self) -> "GrothExpr":
-        return (-1) * self
 
     def sorted_terms(self):
         """Terms by total size, then atom by atom by key: the distinct atoms
@@ -173,8 +154,8 @@ class PositionalExpr:
 
     __slots__ = ("terms",)
 
-    def __init__(self, e: GrothExpr):
-        self.terms = e.terms
+    def __init__(self, terms: dict):
+        self.terms = terms
 
     def peel(self, rho: CuspidalLabel, x: HalfInt, left: bool) -> "PositionalExpr":
         """Leibniz sum of one-sided peels at rho||^x over all word factors:
@@ -185,10 +166,9 @@ class PositionalExpr:
                 new = peel(x, a, left)
                 if new is not None:
                     moves[a] = new
-        out = object.__new__(PositionalExpr)
-        out.terms = _sum((w[:i] + (moves[a],) + w[i + 1:], c)
-                         for w, c in self.terms.items() for i, a in enumerate(w) if a in moves)
-        return out
+        return PositionalExpr(_sum((w[:i] + (moves[a],) + w[i + 1:], c)
+                                   for w, c in self.terms.items()
+                                   for i, a in enumerate(w) if a in moves))
 
     def theta(self, rho: CuspidalLabel, x: HalfInt) -> "PositionalExpr":
         """Two-sided peel: rho||^x from the left, then rho||^-x from the right."""
@@ -200,16 +180,16 @@ class PositionalExpr:
 
 def jac_left(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
     """Leibniz sum of left peels at rho||^x over all word factors."""
-    return PositionalExpr(e).peel(rho, HalfInt.of(x), True).canonical()
+    return PositionalExpr(e.terms).peel(rho, HalfInt.of(x), True).canonical()
 
 
 def jac_right(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
-    return PositionalExpr(e).peel(rho, HalfInt.of(x), False).canonical()
+    return PositionalExpr(e.terms).peel(rho, HalfInt.of(x), False).canonical()
 
 
 def jac_theta(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
     """Two-sided peel: rho||^x from the left, then rho||^-x from the right."""
-    return PositionalExpr(e).theta(rho, HalfInt.of(x)).canonical()
+    return PositionalExpr(e.terms).theta(rho, HalfInt.of(x)).canonical()
 
 
 def jac_theta_seq(points, e: GrothExpr) -> GrothExpr:
@@ -221,7 +201,7 @@ def jac_theta_seq(points, e: GrothExpr) -> GrothExpr:
     points = list(points)
     if not points or e.is_zero:
         return e
-    pe = PositionalExpr(e)
+    pe = PositionalExpr(e.terms)
     for rho, x in points:
         pe = pe.theta(rho, HalfInt.of(x))
     return pe.canonical()

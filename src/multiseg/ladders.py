@@ -68,14 +68,6 @@ class Ladder:
     def __repr__(self) -> str:
         return f"Ladder({self.rho!r}, {self.rows!r})"
 
-    @classmethod
-    def of(cls, rho: CuspidalLabel, segments) -> "Ladder":
-        """Ladder of the given segments, in any order, over the label rho."""
-        segs = sorted(segments, key=lambda r: r.start.twice, reverse=True)
-        if any(r.rho != rho for r in segs):
-            raise ValueError("ladder rows must share the ladder's label")
-        return cls(rho, tuple((r.start.twice, r.end.twice) for r in segs))
-
     def segments(self) -> tuple[Segment, ...]:
         return tuple(Segment(self.rho, HalfInt(s), HalfInt(e)) for s, e in self.rows)
 

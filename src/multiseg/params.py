@@ -50,10 +50,6 @@ class Quad:
         if self.B == ZERO and self.zeta == -1:
             object.__setattr__(self, "zeta", 1)
 
-    @property
-    def is_half_integral(self) -> bool:
-        return not self.B.is_integer
-
     def __str__(self) -> str:
         return f"({self.rho.name},A={self.A},B={self.B},{'+' if self.zeta == 1 else '-'})"
 
@@ -77,7 +73,7 @@ def block_order_cmp(q: Quad, qp: Quad) -> int:
     """Total order on same-label, same-integrality quads: A, then B, then zeta=+."""
     if q.rho != qp.rho:
         raise ValueError(f"quads {q} and {qp} have different labels; incomparable")
-    if q.is_half_integral != qp.is_half_integral:
+    if q.B.is_integer != qp.B.is_integer:
         raise ValueError(f"quads {q} and {qp} lie in different integrality families")
     k, kp = _quad_sort_key(q), _quad_sort_key(qp)
     return (k > kp) - (k < kp)

@@ -43,7 +43,8 @@ def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> GrothExpr:
     only inside its wrapping.  All the terms go into one sum.  The closing
     sub call comes last, which keeps the resolver's trace order."""
     rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
-    middle = PositionalExpr(sub(rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ())))
+    inner = rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ())
+    middle = PositionalExpr(sub(inner).terms)
     pairs = []
     for C in range(B + 2, A + 1, 2):
         if C >= B + 4:
@@ -175,7 +176,7 @@ def verify_cancellation(psi: Parameter) -> dict:
     else:
         expr = resolve_param(psi).expr
     checks = []
-    pe = PositionalExpr(expr)
+    pe = PositionalExpr(expr.terms)
 
     def check(kind, x, val, **extra):
         checks.append({"kind": kind, "x": str(x), "vanishes": val.is_zero,

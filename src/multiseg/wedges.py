@@ -35,13 +35,6 @@ class Composition:
     def delta(self) -> frozenset[int]:
         return frozenset(range(1, self.n)) - self.cuts()
 
-    @property
-    def corank(self) -> int:
-        return len(self.parts) - 1
-
-    def reversed(self) -> "Composition":
-        return Composition(self.parts[::-1])
-
     @staticmethod
     def from_cuts(n: int, cuts) -> "Composition":
         pts = sorted(cuts)
@@ -89,7 +82,7 @@ def check_nilpotent(n: int) -> bool:
 
 def check_theta_sign(n: int) -> bool:
     """(-1)^[j/2] xi(M',M) = (-1)^[(j+1)/2] xi(theta M', theta M) with theta
-    reversing compositions, so mapping a cut s to n - s, and j the corank of M."""
+    reversing compositions, so mapping a cut s to n - s, and j the number of cuts of M."""
     for m in compositions(n):
         cuts = m.cuts()
         j = len(cuts)

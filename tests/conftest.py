@@ -54,6 +54,12 @@ def random_multisegment(rng: random.Random, rho, max_segments=20, span=6):
     return Multisegment(segs)
 
 
+def signed_sum(*terms):
+    """One sum through the GrothExpr constructor, the way the pipeline
+    builds an expression: each term is (coefficient, atom, ...)."""
+    return GrothExpr((canonical_word(atoms), c) for c, *atoms in terms)
+
+
 def reference_jac(left, rho, x, e):
     """Reference one-point peel, independent of the positional loop in
     multiseg.groth: the Leibniz sum of one-sided peels at rho||^x over the

@@ -6,14 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock, Ladder,
-                      Parameter, Segment, SegmentAtom, gl_multisegment,
+                      Parameter, SegmentAtom, gl_multisegment,
                       induce, jac_left, jac_right, jac_theta, jac_theta_seq,
                       ladder_multisegment, parse_multisegment,
                       resolve_general, total_size)
 from multiseg.core import Multisegment
 from multiseg.groth import PositionalExpr, _commute, canonical_word, commutative_image
 
-from conftest import iterated_jac_theta, reference_jac, reference_jac_theta
+from conftest import iterated_jac_theta, reference_jac, reference_jac_theta, signed_sum
 
 R = CuspidalLabel("rho")
 D2 = CuspidalLabel("tau", 2)
@@ -31,17 +31,24 @@ def word(*atoms):
     return GrothExpr.word(tuple(atoms))
 
 
+def combine(*scaled):
+    """The sum of (k, expression) pairs, as one pair list through the
+    constructor."""
+    return GrothExpr((w, k * c) for k, e in scaled for w, c in e.terms.items())
+
+
 class TestInduce:
     def test_zero_absorbs(self):
-        assert induce([word(atom(1, 0)), GrothExpr.zero()]).is_zero
+        assert induce([word(atom(1, 0)), GrothExpr()]).is_zero
 
     def test_coefficients_multiply(self):
-        e = induce([2 * word(atom(1, 1)), 3 * word(atom(5, 5))])
-        assert e == 6 * word(atom(1, 1), atom(5, 5))
+        e = induce([signed_sum((2, atom(1, 1))), signed_sum((3, atom(5, 5)))])
+        assert e == signed_sum((6, atom(1, 1), atom(5, 5)))
 
     def test_distributes(self):
         a, b, c = word(atom(0, 0)), word(atom(1, 1)), word(atom(5, 5))
-        assert induce([a - b, c]) == induce([a, c]) - induce([b, c])
+        lhs = induce([combine((1, a), (-1, b)), c])
+        assert lhs == combine((1, induce([a, c])), (-1, induce([b, c])))
 
     def test_sizes_add(self):
         e = induce([word(atom(1, 0)), word(atom(3, 3))])
@@ -76,7 +83,8 @@ class TestCanonicalWords:
             assert canonical_word(once) == once
 
     def test_induce_associative_up_to_canonical(self):
-        a, b, c = word(atom(2, 0)), word(atom(5, 4)) - word(atom(7, 7)), word(atom(-3, -3))
+        a, c = word(atom(2, 0)), word(atom(-3, -3))
+        b = signed_sum((1, atom(5, 4)), (-1, atom(7, 7)))
         assert induce([induce([a, b]), c]) == induce([a, induce([b, c])])
 
     def test_orientation_distinguishes_atoms(self):
@@ -285,9 +293,7 @@ def _random_atom(rng: random.Random):
     k = rng.randint(2, 3)
     starts = sorted(rng.sample(range(-4, 5), k), reverse=True)
     ends = sorted(rng.sample(range(-4, 5), k), reverse=True)
-    rows = tuple(Segment(rho, HalfInt(2 * s + off), HalfInt(2 * e + off))
-                 for s, e in zip(starts, ends))
-    return Ladder.of(rho, rows)
+    return Ladder(rho, tuple((2 * s + off, 2 * e + off) for s, e in zip(starts, ends)))
 
 
 def _points(j):
@@ -328,7 +334,7 @@ class TestJacquet:
         assert jac_theta_seq([(R, hi("1/2")), (R, hi("3/2"))], e).is_zero
 
     def test_theta_on_zero(self):
-        assert jac_theta(R, hi(1), GrothExpr.zero()).is_zero
+        assert jac_theta(R, hi(1), GrothExpr()).is_zero
 
     def test_theta_matches_trunc_ladder(self):
         from multiseg import Quad, trunc_ladder
@@ -373,15 +379,11 @@ class TestJacquet:
 
 
 def _random_expr(rng: random.Random) -> GrothExpr:
-    out = GrothExpr.zero()
+    terms = []
     for _ in range(rng.randint(1, 3)):
-        atoms = []
-        for _ in range(rng.randint(1, 3)):
-            s = rng.randint(-4, 4)
-            e = rng.randint(-4, 4)
-            atoms.append(atom(s, e))
-        out = out + rng.choice([1, -1, 2]) * GrothExpr.word(tuple(atoms))
-    return out
+        atoms = [atom(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))]
+        terms.append((rng.choice([1, -1, 2]), *atoms))
+    return signed_sum(*terms)
 
 
 class TestSizesAndSupports:
@@ -403,7 +405,7 @@ class TestSizesAndSupports:
         assert gl_multisegment((a,)) == parse_multisegment("{[1..-1]rho}")
 
     def test_json_is_sorted_and_stable(self):
-        e = word(atom(1, 0)) - 2 * word(atom(0, 0), atom(2, 2))
+        e = signed_sum((1, atom(1, 0)), (-2, atom(0, 0), atom(2, 2)))
         assert e.to_json() == e.to_json()
         # equal sizes, so the word starting at the smaller atom comes first
         assert [t["coeff"] for t in e.to_json()] == [-2, 1]
@@ -418,7 +420,7 @@ class TestCommutativeImage:
 
     def test_counts_multiplicity(self):
         a, b = atom(1, 0), atom(5, 5)
-        e = word(a, b, a) - word(a, b) + 3 * word(b, a, a)
+        e = signed_sum((1, a, b, a), (-1, a, b), (3, b, a, a))
         assert commutative_image(e) == {
             frozenset({(a, 2), (b, 1)}): 4, frozenset({(a, 1), (b, 1)}): -1}
 
@@ -452,7 +454,7 @@ class TestJacquetMatchesLadderPeel:
             for jac, peel in ((jac_left, peel_left), (jac_right, peel_right)):
                 got = jac(R, x, word(L))
                 peeled = peel(x, L)
-                want = GrothExpr.zero() if peeled is None else word(peeled)
+                want = GrothExpr() if peeled is None else word(peeled)
                 assert got == want, (str(L), t, jac.__name__)
 
 
@@ -496,7 +498,7 @@ class TestThetaSeqChain:
         e = word(atom(1, 0))
         assert jac_theta_seq([], e) is e
         assert jac_theta_seq(iter(()), e) is e
-        zero = GrothExpr.zero()
+        zero = GrothExpr()
         assert jac_theta_seq([(R, hi(1))], zero) is zero
 
     def test_nothing_peels(self):
@@ -516,8 +518,8 @@ class TestThetaSeqChain:
     def test_same_atom_twice(self):
         a = atom(1, -1)
         e = word(a, a)
-        want = (word(atom(0, 0), a) + word(atom(0, -1), atom(1, 0))
-                + word(atom(1, 0), atom(0, -1)) + word(a, atom(0, 0)))
+        want = signed_sum((1, atom(0, 0), a), (1, atom(0, -1), atom(1, 0)),
+                          (1, atom(1, 0), atom(0, -1)), (1, a, atom(0, 0)))
         assert jac_theta_seq([(R, hi(1))], e) == want
         points = [(R, hi(1)), (R, hi(0))]
         assert jac_theta_seq(points, e) == iterated_jac_theta(points, e)
@@ -525,9 +527,9 @@ class TestThetaSeqChain:
     def test_peel_onto_an_atom_already_held(self):
         held = atom(1, -2)
         # the peel at 2 turns [2..-2] into [1..-2], the atom already held
-        e = (word(atom(2, -2), atom(6, 6)) - word(atom(9, 9), atom(2, -2))
-             + 2 * word(held, atom(4, 4)))
-        assert PositionalExpr(e).peel(R, hi(2), True).terms[(held, atom(6, 6))] == 1
+        e = signed_sum((1, atom(2, -2), atom(6, 6)), (-1, atom(9, 9), atom(2, -2)),
+                       (2, held, atom(4, 4)))
+        assert PositionalExpr(e.terms).peel(R, hi(2), True).terms[(held, atom(6, 6))] == 1
         points = [(R, hi(2)), (R, hi(1))]
         got = jac_theta_seq(points, e)
         assert not got.is_zero
@@ -538,12 +540,14 @@ class TestThetaSeqChain:
         # positional forms differ (the second keeps an emptied [-1..-1]), so
         # they cancel only when the chain canonicalizes at the end
         tail = atom(5, -5)
-        cancelling = word(atom(1, -1), tail) - word(atom(1, 0), atom(-1, -1), tail)
+        cancelling = signed_sum((1, atom(1, -1), tail),
+                                (-1, atom(1, 0), atom(-1, -1), tail))
         points = [(R, hi(1)), (R, hi(5))]
         assert jac_theta(R, hi(1), cancelling).is_zero
         assert jac_theta_seq(points, cancelling).is_zero
-        e = cancelling + 3 * word(atom(1, -1), atom(3, 3), tail)
-        assert jac_theta_seq(points, e) == 3 * word(atom(0, 0), atom(3, 3), atom(4, -4))
+        e = combine((1, cancelling), (3, word(atom(1, -1), atom(3, 3), tail)))
+        want = signed_sum((3, atom(0, 0), atom(3, 3), atom(4, -4)))
+        assert jac_theta_seq(points, e) == want
 
     def test_points_as_generator(self):
         e = word(atom(3, -3), atom(-1, 1))
@@ -582,11 +586,11 @@ def _peel_cases(draw):
 # peel and the two sides of the theta-peel
 _EMPTIED = (word(atom(1, 1), atom(-1, -1), atom(5, 5)), R, hi(1))
 # the peel at 2 turns [2..-2] into [1..-2], an atom already held
-_HELD = (word(atom(2, -2), atom(6, 6)) - word(atom(9, 9), atom(2, -2))
-         + 2 * word(atom(1, -2), atom(4, 4)), R, hi(2))
+_HELD = (signed_sum((1, atom(2, -2), atom(6, 6)), (-1, atom(9, 9), atom(2, -2)),
+                    (2, atom(1, -2), atom(4, 4))), R, hi(2))
 # the left peel at 1 gives [0..0] with and without an emptied [1..1]
 # before it: positional words that differ, cancelling once canonical
-_CANCELLING = (word(atom(1, 1), atom(0, 0)) - word(atom(1, 0)), R, hi(1))
+_CANCELLING = (signed_sum((1, atom(1, 1), atom(0, 0)), (-1, atom(1, 0))), R, hi(1))
 
 
 class TestOnePointPeelsAgainstReference:
@@ -596,7 +600,7 @@ class TestOnePointPeelsAgainstReference:
 
     @settings(max_examples=300, deadline=None)
     @given(_peel_cases())
-    @example((GrothExpr.zero(), R, hi(1)))
+    @example((GrothExpr(), R, hi(1)))
     @example(_EMPTIED)
     @example(_HELD)
     @example(_CANCELLING)
@@ -608,15 +612,15 @@ class TestOnePointPeelsAgainstReference:
 
     def test_examples_reach_their_edge(self):
         e, rho, x = _EMPTIED
-        pe = PositionalExpr(e)
+        pe = PositionalExpr(e.terms)
         for peeled in (pe.peel(rho, x, True), pe.peel(rho, x, False), pe.theta(rho, x)):
             assert any(not a.rows for w in peeled.terms for a in w)
         assert jac_theta(rho, x, e) == word(atom(5, 5))
         e, rho, x = _HELD
         held = atom(1, -2)
         assert any(held in w for w in e.terms)
-        assert any(held in w for w in PositionalExpr(e).peel(rho, x, True).terms)
+        assert any(held in w for w in PositionalExpr(e.terms).peel(rho, x, True).terms)
         assert not jac_theta(rho, x, e).is_zero
         e, rho, x = _CANCELLING
-        assert len(PositionalExpr(e).peel(rho, x, True).terms) == 2
+        assert len(PositionalExpr(e.terms).peel(rho, x, True).terms) == 2
         assert jac_left(rho, x, e).is_zero

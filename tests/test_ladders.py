@@ -27,7 +27,8 @@ def seg(s, e):
 
 
 def lad(*pairs):
-    return Ladder.of(R, [seg(s, e) for s, e in pairs])
+    """Ladder of (start, end) rows given in ladder order (descending start)."""
+    return Ladder(R, tuple((hi(s).twice, hi(e).twice) for s, e in pairs))
 
 
 class TestLadderMultisegment:
@@ -58,7 +59,7 @@ class TestLadderMultisegment:
                 L = ladder_multisegment(q)
                 assert len(L.rows) == (q.A - q.B).twice // 2 + 1
                 assert L.size == a * b
-                assert all(abs(x) <= q.A for r in L.segments() for x in r.elements())
+                assert all(abs(x.twice) <= q.A.twice for r in L.segments() for x in r.elements())
 
     def test_ladder_condition_enforced(self):
         with pytest.raises(ValueError):
@@ -84,7 +85,8 @@ class TestAtomData:
             segs = [Segment(CuspidalLabel(name, d), HalfInt(s), HalfInt(e))
                     for s, e in rows]
             rng.shuffle(segs)
-            built = Ladder.of(CuspidalLabel(name, d), segs)
+            built = Ladder(CuspidalLabel(name, d), tuple(sorted(
+                ((r.start.twice, r.end.twice) for r in segs), reverse=True)))
             for L in (direct, built):
                 assert L.size == sum(len(s.elements()) for s in segs) * d
                 assert L.key == (name, k > 1, rows)
@@ -98,13 +100,13 @@ class TestInterning:
     def test_equal_values_are_one_object(self):
         rows = ((6, -4), (4, -6))
         built = [Ladder(R, rows), Ladder(CuspidalLabel("rho"), rows),
-                 Ladder.of(R, [seg(2, -3), seg(3, -2)]),
+                 lad((3, -2), (2, -3)),
                  ladder_multisegment(quad(3, 2)),
                  trunc_ladder(quad(3, 0), hi(1)),
                  peel(hi(4), Ladder(R, ((8, -4), (4, -6))), True)]
         assert all(L is built[0] for L in built)
         one_row = [Ladder(R, ((2, -2),)), SegmentAtom(R, hi(1), hi(-1)),
-                   Ladder.of(R, [seg(1, -1)]), ladder_multisegment(quad(1, 1)),
+                   lad((1, -1)), ladder_multisegment(quad(1, 1)),
                    peel(hi(2), SegmentAtom(R, hi(2), hi(-1)), True),
                    peel(hi(-2), SegmentAtom(R, hi(1), hi(-2)), False)]
         assert all(L is one_row[0] for L in one_row)

@@ -16,7 +16,7 @@ from multiseg.params import _quad_sort_key, dominate, from_quad
 
 import conftest
 from conftest import (iterated_jac_theta, random_small_parameter, reference_jac,
-                      reference_jac_theta)
+                      reference_jac_theta, signed_sum)
 
 R = CuspidalLabel("rho")
 S = CuspidalLabel("sig")
@@ -54,8 +54,7 @@ class TestResolveBlock:
 
     def test_instance_1_0(self):
         e = resolve_block(Quad(R, hi(1), hi(0), 1))
-        assert e == GrothExpr.word((atom(0, -1), atom(1, 0))) - GrothExpr.word(
-            (atom(1, -1), atom(0, 0)))
+        assert e == signed_sum((1, atom(0, -1), atom(1, 0)), (-1, atom(1, -1), atom(0, 0)))
 
     def test_degree_conservation(self):
         for q in all_quads(8):
@@ -73,19 +72,17 @@ class TestResolveBlock:
         one = hi(1)
         for q in all_quads(10):
             A, B, z = q.A, q.B, q.zeta
-            want = GrothExpr.zero()
+            terms = []
             C = B + one
             while C <= A:
                 middle = (trunc_ladder(q, C),) if A >= B + hi(2) else ()
-                word = (atom(str(B * z), str(-(C * z))),) + middle + (
-                    atom(str(C * z), str(-(B * z))),)
-                want = want + (-1) ** ((A - C).twice // 2) * GrothExpr.word(word)
+                terms.append(((-1) ** ((A - C).twice // 2), atom(str(B * z), str(-(C * z))),
+                              *middle, atom(str(C * z), str(-(B * z)))))
                 C = C + one
-            closing = (ladder_multisegment(Quad(R, A, B + one, z)),
-                       ladder_multisegment(Quad(R, B, B, z)))
             k = ((A - B).twice // 2 + 1) // 2
-            want = want + (-1) ** k * GrothExpr.word(closing)
-            assert resolve_block(q) == want, str(q)
+            terms.append(((-1) ** k, ladder_multisegment(Quad(R, A, B + one, z)),
+                          ladder_multisegment(Quad(R, B, B, z))))
+            assert resolve_block(q) == signed_sum(*terms), str(q)
 
 
 class TestCancellation:
@@ -126,8 +123,8 @@ class TestResolveParam:
 
     def test_single_block_2_2(self):
         res = resolve_param(Parameter([JordanBlock(R, 2, 2)]))
-        assert res.expr == GrothExpr.word((atom(0, -1), atom(1, 0))) - GrothExpr.word(
-            (atom(1, -1), atom(0, 0)))
+        assert res.expr == signed_sum((1, atom(0, -1), atom(1, 0)),
+                                      (-1, atom(1, -1), atom(0, 0)))
 
     def test_rejects_non_discrete_diagonal(self):
         with pytest.raises(ValueError):
@@ -243,20 +240,23 @@ class TestVerifyCancellation:
 
 
 def _reference_expand(q, rest, sub):
-    """The expansion step as an operator chain: one GrothExpr per C, summed
-    with + and scaled with *, peeled by the reference peel of conftest.
-    Kept as the reference for resolve._expand."""
+    """The expansion step as an operator chain: one induce per C, peeled by
+    the reference peel of conftest, the signed results summed as one pair
+    list.  Kept as the reference for resolve._expand."""
     rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
     middle = sub(rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ()))
-    out = GrothExpr.zero()
+    pairs = []
     for C in range(B + 2, A + 1, 2):
         if C >= B + 4:
             middle = reference_jac_theta(rho, HalfInt(C * z), middle)
         left = GrothExpr.word((Ladder(rho, ((B * z, -C * z),)),))
         right = GrothExpr.word((Ladder(rho, ((C * z, -B * z),)),))
-        out = out + (-1) ** ((A - C) // 2) * induce([left, middle, right])
+        sign = (-1) ** ((A - C) // 2)
+        pairs += [(w, sign * c) for w, c in induce([left, middle, right]).terms.items()]
     closing = sub(rest + (Quad(rho, q.A, q.B + 1, z), Quad(rho, q.B, q.B, z)))
-    return out + (-1) ** (((A - B) // 2 + 1) // 2) * closing
+    sign = (-1) ** (((A - B) // 2 + 1) // 2)
+    pairs += [(w, sign * c) for w, c in closing.terms.items()]
+    return GrothExpr(pairs)
 
 
 _SINGLE_BLOCKS = [Parameter([JordanBlock(R, a, b)]) for a in range(2, 8) for b in range(2, 8)]
@@ -374,37 +374,6 @@ class TestResolverIsATree:
         heavy = [Parameter([JordanBlock(R, 3, 3)] * 2 + [JordanBlock(R, 2, 2)]),
                  Parameter([JordanBlock(R, 4, 4)] * 2)]
         assert self._check(dominate(psi)[0] for psi in heavy) == (2, 6)
-
-
-class TestOneSumPerStep:
-    """The expansion step builds one GrothExpr from one list of pairs: no
-    GrothExpr + or integer * inside resolve_param."""
-
-    @staticmethod
-    def _count_operators(monkeypatch, run):
-        calls = []
-        for name in ("__add__", "__rmul__"):
-            orig = getattr(GrothExpr, name)
-
-            def counted(self, other, _orig=orig, _name=name):
-                calls.append(_name)
-                return _orig(self, other)
-
-            monkeypatch.setattr(GrothExpr, name, counted)
-        run()
-        return len(calls)
-
-    @pytest.mark.parametrize("psi", [
-        Parameter([JordanBlock(R, 6, 6)]),
-        Parameter([JordanBlock(R, 4, 3), JordanBlock(R, 6, 4)]),
-    ], ids=str)
-    def test_no_operator_calls(self, monkeypatch, psi):
-        assert self._count_operators(monkeypatch, lambda: resolve_param(psi)) == 0
-
-    def test_counter_sees_the_operator_chain(self, monkeypatch):
-        monkeypatch.setattr(resolve, "_expand", _reference_expand)
-        psi = Parameter([JordanBlock(R, 6, 6)])
-        assert self._count_operators(monkeypatch, lambda: resolve_param(psi)) > 0
 
 
 def _reference_report(psi, monkeypatch):
