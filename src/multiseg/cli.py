@@ -86,7 +86,7 @@ def cmd_classify(args) -> int:
         "discrete_diagonal": is_discrete_diagonal(psi),
     }
     try:
-        parity = parity_text = in_Psi_H(psi, psi.n)
+        parity = parity_text = in_Psi_H(psi)
     except ValueError as exc:
         parity, parity_text = None, f"not decidable ({exc})"
     _emit(args.json,

@@ -9,8 +9,8 @@ of the trace monoid), built by inserting one atom at a time into the
 normal form of the atoms before it.  Atoms are interned ladders: equal
 atoms are one object, carrying its size, sort key and row spans.  Jac_x
 acts by the Leibniz rule over word factors.  Every Jacquet operator runs on
-one loop, PositionalExpr.peel, over positional words (atom tuples that are
-not canonicalized), and canonicalizes only the words it returns.
+one loop, peel_terms, over positional words (atom tuples that are not
+canonicalized), and canonical_expr canonicalizes only the words it returns.
 """
 
 from __future__ import annotations
@@ -141,70 +141,63 @@ def induce(parts) -> GrothExpr:
     return GrothExpr((canonical_word(w), c) for w, c in terms)
 
 
-class PositionalExpr:
-    """An expression held as positional words: atom tuples in any order of
-    their commutation class.
+def peel_terms(terms: dict, rho: CuspidalLabel, t: int, left: bool) -> dict:
+    """Leibniz sum of one-sided peels at rho||^(t/2), t doubled, over the
+    factors of positional words (atom tuples in any order of their
+    commutation class): from the left (a row starting there) or the right.
 
     A peel only shrinks a row, so atoms that commute still commute after it,
-    and Jac acts on any representative of a commutation class: words are
-    canonicalized only on the way out.  Each distinct atom is peeled once
-    per step.  An emptied atom keeps its place with no rows, never peels
-    again, and canonical_word drops it.
-    """
+    and Jac acts on any representative of a commutation class.  Each
+    distinct atom is peeled once per step.  An emptied atom keeps its place
+    with no rows, never peels again, and canonical_word drops it."""
+    name, moves = rho.name, {}
+    for a in set().union(*terms):
+        if a.rho.name == name:
+            new = peel(t, a, left)
+            if new is not None:
+                moves[a] = new
+    return _sum((w[:i] + (moves[a],) + w[i + 1:], c)
+                for w, c in terms.items()
+                for i, a in enumerate(w) if a in moves)
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms: dict):
-        self.terms = terms
+def theta_terms(terms: dict, rho: CuspidalLabel, t: int) -> dict:
+    """Two-sided peel: rho||^(t/2) from the left, then rho||^(-t/2) from the right."""
+    return peel_terms(peel_terms(terms, rho, t, True), rho, -t, False)
 
-    def peel(self, rho: CuspidalLabel, x: HalfInt, left: bool) -> "PositionalExpr":
-        """Leibniz sum of one-sided peels at rho||^x over all word factors:
-        from the left (a row starting at x) or from the right (ending at x)."""
-        name, moves = rho.name, {}
-        for a in set().union(*self.terms):
-            if a.rho.name == name:
-                new = peel(x, a, left)
-                if new is not None:
-                    moves[a] = new
-        return PositionalExpr(_sum((w[:i] + (moves[a],) + w[i + 1:], c)
-                                   for w, c in self.terms.items()
-                                   for i, a in enumerate(w) if a in moves))
 
-    def theta(self, rho: CuspidalLabel, x: HalfInt) -> "PositionalExpr":
-        """Two-sided peel: rho||^x from the left, then rho||^-x from the right."""
-        return self.peel(rho, x, True).peel(rho, -x, False)
-
-    def canonical(self) -> GrothExpr:
-        return GrothExpr((canonical_word(w), c) for w, c in self.terms.items())
+def canonical_expr(terms: dict) -> GrothExpr:
+    """The expression of positional terms: each word canonicalized."""
+    return GrothExpr((canonical_word(w), c) for w, c in terms.items())
 
 
 def jac_left(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
     """Leibniz sum of left peels at rho||^x over all word factors."""
-    return PositionalExpr(e.terms).peel(rho, HalfInt.of(x), True).canonical()
+    return canonical_expr(peel_terms(e.terms, rho, HalfInt.of(x).twice, True))
 
 
 def jac_right(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
-    return PositionalExpr(e.terms).peel(rho, HalfInt.of(x), False).canonical()
+    return canonical_expr(peel_terms(e.terms, rho, HalfInt.of(x).twice, False))
 
 
 def jac_theta(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
     """Two-sided peel: rho||^x from the left, then rho||^-x from the right."""
-    return PositionalExpr(e.terms).theta(rho, HalfInt.of(x)).canonical()
+    return canonical_expr(theta_terms(e.terms, rho, HalfInt.of(x).twice))
 
 
 def jac_theta_seq(points, e: GrothExpr) -> GrothExpr:
     """Apply jac_theta at (rho, x) pairs in list order (first entry first).
 
-    The whole chain runs on one PositionalExpr, and only the returned words
+    The whole chain runs on positional terms, and only the returned words
     are canonicalized.
     """
     points = list(points)
     if not points or e.is_zero:
         return e
-    pe = PositionalExpr(e.terms)
+    terms = e.terms
     for rho, x in points:
-        pe = pe.theta(rho, HalfInt.of(x))
-    return pe.canonical()
+        terms = theta_terms(terms, rho, HalfInt.of(x).twice)
+    return canonical_expr(terms)
 
 
 def commutative_image(e: GrothExpr) -> dict:

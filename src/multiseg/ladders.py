@@ -102,15 +102,15 @@ def tableau_cols(q: Quad) -> Multisegment:
     return Multisegment(cols)
 
 
-def peel(x: HalfInt, lad: Ladder, left: bool) -> Ladder | None:
-    """Single-point peel: drop the first element of the row starting at x
-    (left) or the last element of the row ending at x; an emptied ladder is
-    Ladder(rho, ()).  None if no row starts (ends) at x or the result breaks
-    the ladder condition.  The peeled row keeps its index: moving one end a
-    step past a neighbour's end reverses the order of that end alone, which
-    the ladder condition rejects whether or not the rows are re-sorted."""
-    t, rows = x.twice, lad.rows
-    for i, (s, e) in enumerate(rows):
+def peel(t: int, lad: Ladder, left: bool) -> Ladder | None:
+    """Single-point peel (t doubled): drop the first element of the row
+    starting at t (left) or the last element of the row ending at t; an
+    emptied ladder is Ladder(rho, ()).  None if no row starts (ends) at t or
+    the result breaks the ladder condition.  The peeled row keeps its index:
+    moving one end a step past a neighbour's end reverses the order of that
+    end alone, which the ladder condition rejects whether or not the rows
+    are re-sorted."""
+    for i, (s, e) in enumerate(lad.rows):
         if (s if left else e) == t:
             break
     else:
@@ -122,19 +122,19 @@ def peel(x: HalfInt, lad: Ladder, left: bool) -> Ladder | None:
         row = ((s + step, e),)
     else:
         row = ((s, e - step),)
-    out = rows[:i] + row + rows[i + 1:]
+    out = lad.rows[:i] + row + lad.rows[i + 1:]
     return Ladder(lad.rho, out) if _is_ladder(out) else None
 
 
 def peel_left(x: HalfInt, lad: Ladder) -> Ladder | None:
     """Drop the first element of the unique row starting at x; None if that
     kills the ladder condition or no row starts at x."""
-    return peel(x, lad, True)
+    return peel(x.twice, lad, True)
 
 
 def peel_right(x: HalfInt, lad: Ladder) -> Ladder | None:
     """Mirror of peel_left: drop the last element of the unique row ending at x."""
-    return peel(x, lad, False)
+    return peel(x.twice, lad, False)
 
 
 def trunc_ladder(q: Quad, C: HalfInt) -> Ladder:
@@ -149,13 +149,10 @@ def trunc_ladder(q: Quad, C: HalfInt) -> Ladder:
         raise ValueError(f"trunc_ladder needs A >= B+2, got {q}")
     if not (q.B < C <= q.A):
         raise ValueError(f"C={C} outside ]B, A] for {q}")
-    lad = ladder_multisegment(Quad(q.rho, q.A, q.B + 2, q.zeta))
-    for t in range((q.B + 2).twice, C.twice + 1, 2):
-        x = HalfInt(t * q.zeta)
-        nxt = peel_left(x, lad)
-        if nxt is None:
-            raise ValueError(f"left peel at {x} failed while truncating {q}")
-        lad = peel_right(-x, nxt)
+    z, lad = q.zeta, ladder_multisegment(Quad(q.rho, q.A, q.B + 2, q.zeta))
+    for t in range((q.B + 2).twice * z, C.twice * z + z, 2 * z):
+        nxt = peel(t, lad, True)
+        lad = None if nxt is None else peel(-t, nxt, False)
         if lad is None:
-            raise ValueError(f"right peel at {-x} failed while truncating {q}")
+            raise ValueError(f"theta-peel at {HalfInt(t)} failed while truncating {q}")
     return lad

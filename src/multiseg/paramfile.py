@@ -22,6 +22,17 @@ def _sign(tok: str, what: str, line_no: int) -> int:
     raise ParamFileError(line_no, f"{what} must be +1 or -1, got {tok!r}")
 
 
+def _positive(tok: str, what: str, bad_message: str, line_no: int) -> int:
+    """tok as an integer >= 1; bad_message is the error when it is not an integer."""
+    try:
+        n = parse_int(tok)
+    except ValueError:
+        raise ParamFileError(line_no, bad_message) from None
+    if n < 1:
+        raise ParamFileError(line_no, f"{what} must be >= 1")
+    return n
+
+
 def parse_parameter_file(text: str) -> tuple[Parameter, dict[str, CuspidalLabel]]:
     """Parse declarations into a Parameter plus the label table."""
     labels: dict[str, CuspidalLabel] = {}
@@ -44,12 +55,7 @@ def parse_parameter_file(text: str) -> tuple[Parameter, dict[str, CuspidalLabel]
                     raise ParamFileError(line_no, f"expected key=value, got {opt!r}")
                 key, val = opt.split("=", 1)
                 if key == "d":
-                    try:
-                        d = parse_int(val)
-                    except ValueError:
-                        raise ParamFileError(line_no, f"bad d value {val!r}") from None
-                    if d < 1:
-                        raise ParamFileError(line_no, "d must be >= 1")
+                    d = _positive(val, "d", f"bad d value {val!r}", line_no)
                 elif key == "eta":
                     eta = None if val == "?" else _sign(val, "eta", line_no)
                 elif key == "chi":
@@ -66,24 +72,14 @@ def parse_parameter_file(text: str) -> tuple[Parameter, dict[str, CuspidalLabel]
             name = toks[1]
             if name not in labels:
                 raise ParamFileError(line_no, f"block references unknown cuspidal {name!r}")
-            try:
-                a, b = parse_int(toks[2]), parse_int(toks[3])
-            except ValueError:
-                raise ParamFileError(line_no, "a and b must be integers") from None
-            if a < 1:
-                raise ParamFileError(line_no, "a must be >= 1")
-            if b < 1:
-                raise ParamFileError(line_no, "b must be >= 1")
+            a = _positive(toks[2], "a", "a and b must be integers", line_no)
+            b = _positive(toks[3], "b", "a and b must be integers", line_no)
             mult = 1
             if len(toks) == 5:
                 if not toks[4].startswith("x"):
                     raise ParamFileError(line_no, f"multiplicity must be xN, got {toks[4]!r}")
-                try:
-                    mult = parse_int(toks[4][1:])
-                except ValueError:
-                    raise ParamFileError(line_no, f"bad multiplicity {toks[4]!r}") from None
-                if mult < 1:
-                    raise ParamFileError(line_no, "multiplicity must be >= 1")
+                mult = _positive(toks[4][1:], "multiplicity", f"bad multiplicity {toks[4]!r}",
+                                 line_no)
             blocks.extend(JordanBlock(labels[name], a, b) for _ in range(mult))
         else:
             raise ParamFileError(line_no, f"unknown declaration {kind!r}")

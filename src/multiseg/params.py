@@ -244,12 +244,10 @@ def imp_variants(psi: Parameter):
     return psi2, psi1, psi_ii
 
 
-def in_Psi_H(psi: Parameter, n: int) -> bool:
+def in_Psi_H(psi: Parameter) -> bool:
     """Parity membership: eta_rho*(-1)^(a+b) = (-1)^(n+1) per block and prod chi^(ab) = 1."""
-    if n != psi.n:
-        raise ValueError(f"n={n} does not match parameter size {psi.n}")
     chi_prod = 1
-    target = (-1) ** (n + 1)
+    target = (-1) ** (psi.n + 1)
     for b in psi:
         if b.rho.eta is None:
             raise ValueError(f"label {b.rho.name}: parity unknown, cannot test membership")

@@ -18,11 +18,12 @@ middle call and by 1 through the closing one: the depth is exactly Sum(A-B).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .core import HalfInt
-from .groth import (GrothExpr, PositionalExpr, SegmentAtom, canonical_word,
-                    commutative_image, jac_theta_seq, total_size)
+from .groth import (GrothExpr, SegmentAtom, canonical_expr, canonical_word, commutative_image,
+                    jac_theta_seq, peel_terms, theta_terms, total_size)
 from .ladders import Ladder, ladder_multisegment
 from .params import Parameter, Quad, _quad_sort_key, dominate, is_discrete_diagonal
 
@@ -39,19 +40,19 @@ def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> GrothExpr:
     quads to a GrothExpr.  For A = B+1 the middle is sub(rest).  Each C
     theta-peels the previous middle at zC, which is Jac^theta_{z(B+2)..zC}
     of the first, and wraps its words in <zB..-zC> and <zC..-zB>.  The
-    middle is peeled on positional words, and each word is canonicalized
-    only inside its wrapping.  All the terms go into one sum.  The closing
+    middle is peeled as positional terms at the doubled point zC, and each
+    word is canonicalized only inside its wrapping.  All the terms go into one sum.  The closing
     sub call comes last, which keeps the resolver's trace order."""
     rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
     inner = rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ())
-    middle = PositionalExpr(sub(inner).terms)
+    middle = sub(inner).terms
     pairs = []
     for C in range(B + 2, A + 1, 2):
         if C >= B + 4:
-            middle = middle.theta(rho, HalfInt(C * z))
+            middle = theta_terms(middle, rho, C * z)
         left, right = Ladder(rho, ((B * z, -C * z),)), Ladder(rho, ((C * z, -B * z),))
         sign = (-1) ** ((A - C) // 2)
-        pairs += [(canonical_word((left, *w, right)), sign * c) for w, c in middle.terms.items()]
+        pairs += [(canonical_word((left, *w, right)), sign * c) for w, c in middle.items()]
     closing = sub(rest + (Quad(rho, q.A, q.B + 1, z), Quad(rho, q.B, q.B, z)))
     sign = (-1) ** (((A - B) // 2 + 1) // 2)
     pairs += [(w, sign * c) for w, c in closing.terms.items()]
@@ -111,6 +112,13 @@ def distinguished_word(psi: Parameter):
     return canonical_word(build(psi.quads()))
 
 
+def _too_deep(psi: Parameter):
+    """The resolver's depth Sum(A-B) (two frames per level) and its refusal."""
+    depth = sum(q.A.twice - q.B.twice for q in psi.quads()) // 2
+    return depth, ValueError(f"resolution too deep: Sum(A-B) = {depth} nested expansions "
+                             "exceed the interpreter's recursion limit")
+
+
 def resolve_param(psi: Parameter, block_choice: str = "largest") -> Resolution:
     """Full recursive resolution of a discrete-diagonal parameter.  A depth
     Sum(A-B) past the interpreter's recursion limit raises ValueError."""
@@ -133,14 +141,16 @@ def resolve_param(psi: Parameter, block_choice: str = "largest") -> Resolution:
     try:
         expr = resolve(psi.quads())
     except RecursionError:
-        depth = sum(q.A.twice - q.B.twice for q in psi.quads()) // 2
-        raise ValueError(f"resolution too deep: Sum(A-B) = {depth} nested expansions "
-                         "exceed the interpreter's recursion limit") from None
+        raise _too_deep(psi)[1] from None
     return Resolution(psi, expr, trace)
 
 
 def resolve_general(psi: Parameter, rule: str = "minimal") -> Resolution:
-    """Dominate, resolve the dominating parameter, then peel back down."""
+    """Dominate, resolve the dominating parameter, then peel back down.  As
+    domination keeps each block's A-B, a too deep resolution is refused first."""
+    depth, too_deep = _too_deep(psi)
+    if 2 * depth >= sys.getrecursionlimit():
+        raise too_deep
     psi_t, peel = dominate(psi, rule=rule)
     res = resolve_param(psi_t)
     expr = jac_theta_seq(peel, res.expr)
@@ -157,7 +167,7 @@ def verify_cancellation(psi: Parameter) -> dict:
     block the expansion is the one-level resolve_block; otherwise the full
     recursive resolution is used.  Raises ValueError when no check applies
     (several blocks and A = B+1), rather than report a vacuous pass.  Every
-    check peels the expansion's words positionally.
+    check peels the expansion's positional terms at a doubled point.
     """
     quads = psi.quads()
     q, _ = _leading(quads)
@@ -175,11 +185,10 @@ def verify_cancellation(psi: Parameter) -> dict:
                          "blocks present no check applies")
     else:
         expr = resolve_param(psi).expr
-    checks = []
-    pe = PositionalExpr(expr.terms)
+    checks, terms = [], expr.terms
 
-    def check(kind, x, val, **extra):
-        checks.append({"kind": kind, "x": str(x), "vanishes": val.is_zero,
+    def check(kind, t, val, **extra):
+        checks.append({"kind": kind, "x": str(HalfInt(t)), "vanishes": val.is_zero,
                        **extra, "residual": len(val.terms)})
 
     if single:
@@ -188,15 +197,13 @@ def verify_cancellation(psi: Parameter) -> dict:
         inside = {x * z for x in range(B, A + 1, 2)}
         for t in range(-(A + 2), A + 3, 2):
             if t not in inside:
-                x = HalfInt(t)
-                check("jac_outside", x, pe.peel(rho, x, True).canonical())
+                check("jac_outside", t, canonical_expr(peel_terms(terms, rho, t, True)))
         for t in range(-A, A + 1, 2):
-            x = HalfInt(t)
-            check("jac_xx", x, pe.peel(rho, x, True).peel(rho, x, True).canonical())
+            once = peel_terms(terms, rho, t, True)
+            check("jac_xx", t, canonical_expr(peel_terms(once, rho, t, True)))
     for c in cs:
-        x = HalfInt(c * z)
-        val = pe.theta(rho, x).canonical()
-        check("jac_theta", x, val, vanishes_mod_commutative=not commutative_image(val))
+        val = canonical_expr(theta_terms(terms, rho, c * z))
+        check("jac_theta", c * z, val, vanishes_mod_commutative=not commutative_image(val))
     return {
         "quad": str(q), "single_block": single, "checks": checks,
         "all_vanish": all(ch["vanishes"] for ch in checks),

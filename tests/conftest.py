@@ -77,7 +77,7 @@ def reference_jac(left, rho, x, e):
                     continue
                 key = id(atom)
                 if key not in peels:
-                    peels[key] = peel(x, atom, left)
+                    peels[key] = peel(x.twice, atom, left)
                 new = peels[key]
                 if new is not None:
                     yield canonical_word(word[:i] + (new,) + word[i + 1:]), c

@@ -78,6 +78,13 @@ class TestParameterFile:
         with pytest.raises(ParamFileError, match="line 1"):
             parse_parameter_file("cuspidal r eta=maybe\n")
 
+    @pytest.mark.parametrize("line, msg", [("block r 0 x", "a must be >= 1"),
+                                           ("block r x 0", "a and b must be integers"),
+                                           ("block r 1 0 x0", "b must be >= 1")])
+    def test_first_fault_in_token_order(self, line, msg):
+        with pytest.raises(ParamFileError, match=f"^line 2: {msg}$"):
+            parse_parameter_file(f"cuspidal r\n{line}\n")
+
     def test_round_trip(self):
         psi, _ = parse_parameter_file(
             "cuspidal r d=2 eta=-1 chi=+1\ncuspidal s eta=?\n"

@@ -11,7 +11,8 @@ from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock, Ladder,
                       ladder_multisegment, parse_multisegment,
                       resolve_general, total_size)
 from multiseg.core import Multisegment
-from multiseg.groth import PositionalExpr, _commute, canonical_word, commutative_image
+from multiseg.groth import (_commute, canonical_word, commutative_image, peel_terms,
+                            theta_terms)
 
 from conftest import iterated_jac_theta, reference_jac, reference_jac_theta, signed_sum
 
@@ -529,7 +530,7 @@ class TestThetaSeqChain:
         # the peel at 2 turns [2..-2] into [1..-2], the atom already held
         e = signed_sum((1, atom(2, -2), atom(6, 6)), (-1, atom(9, 9), atom(2, -2)),
                        (2, held, atom(4, 4)))
-        assert PositionalExpr(e.terms).peel(R, hi(2), True).terms[(held, atom(6, 6))] == 1
+        assert peel_terms(e.terms, R, 4, True)[(held, atom(6, 6))] == 1
         points = [(R, hi(2)), (R, hi(1))]
         got = jac_theta_seq(points, e)
         assert not got.is_zero
@@ -612,15 +613,16 @@ class TestOnePointPeelsAgainstReference:
 
     def test_examples_reach_their_edge(self):
         e, rho, x = _EMPTIED
-        pe = PositionalExpr(e.terms)
-        for peeled in (pe.peel(rho, x, True), pe.peel(rho, x, False), pe.theta(rho, x)):
-            assert any(not a.rows for w in peeled.terms for a in w)
+        t = x.twice
+        for peeled in (peel_terms(e.terms, rho, t, True), peel_terms(e.terms, rho, t, False),
+                       theta_terms(e.terms, rho, t)):
+            assert any(not a.rows for w in peeled for a in w)
         assert jac_theta(rho, x, e) == word(atom(5, 5))
         e, rho, x = _HELD
         held = atom(1, -2)
         assert any(held in w for w in e.terms)
-        assert any(held in w for w in PositionalExpr(e.terms).peel(rho, x, True).terms)
+        assert any(held in w for w in peel_terms(e.terms, rho, x.twice, True))
         assert not jac_theta(rho, x, e).is_zero
         e, rho, x = _CANCELLING
-        assert len(PositionalExpr(e.terms).peel(rho, x, True).terms) == 2
+        assert len(peel_terms(e.terms, rho, x.twice, True)) == 2
         assert jac_left(rho, x, e).is_zero

@@ -103,12 +103,12 @@ class TestInterning:
                  lad((3, -2), (2, -3)),
                  ladder_multisegment(quad(3, 2)),
                  trunc_ladder(quad(3, 0), hi(1)),
-                 peel(hi(4), Ladder(R, ((8, -4), (4, -6))), True)]
+                 peel(8, Ladder(R, ((8, -4), (4, -6))), True)]
         assert all(L is built[0] for L in built)
         one_row = [Ladder(R, ((2, -2),)), SegmentAtom(R, hi(1), hi(-1)),
                    lad((1, -1)), ladder_multisegment(quad(1, 1)),
-                   peel(hi(2), SegmentAtom(R, hi(2), hi(-1)), True),
-                   peel(hi(-2), SegmentAtom(R, hi(1), hi(-2)), False)]
+                   peel(4, SegmentAtom(R, hi(2), hi(-1)), True),
+                   peel(-4, SegmentAtom(R, hi(1), hi(-2)), False)]
         assert all(L is one_row[0] for L in one_row)
         assert trunc_ladder(quad(3, 0), hi(2)) is lad((3, -1), (1, -3))
 
@@ -224,7 +224,7 @@ class TestPeelOracle:
             for t in range(-6, 7):
                 x = HalfInt(t)
                 for left in (True, False):
-                    assert peel(x, L, left) == _resorting_peel(x, L, left), (L, t, left)
+                    assert peel(t, L, left) == _resorting_peel(x, L, left), (L, t, left)
                     cases += 1
         assert cases == 36218
 

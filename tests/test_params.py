@@ -232,20 +232,20 @@ class TestImpVariants:
 
 class TestPsiH:
     def test_examples(self):
-        assert in_Psi_H(Parameter([JordanBlock(ONE_GL1, 3, 1)]), 3)
-        assert in_Psi_H(Parameter([JordanBlock(ONE_GL1, 2, 1)]), 2)
+        assert in_Psi_H(Parameter([JordanBlock(ONE_GL1, 3, 1)]))
+        assert in_Psi_H(Parameter([JordanBlock(ONE_GL1, 2, 1)]))
         assert not in_Psi_H(
-            Parameter([JordanBlock(ONE_GL1, 1, 1), JordanBlock(ONE_GL1B, 1, 1)]), 2)
+            Parameter([JordanBlock(ONE_GL1, 1, 1), JordanBlock(ONE_GL1B, 1, 1)]))
 
     def test_chi_condition(self):
         neg = CuspidalLabel("neg", 1, 1, -1)
         # single block (1,1): eta condition holds for n=1; chi^(1*1) = -1 fails
-        assert not in_Psi_H(Parameter([JordanBlock(neg, 1, 1)]), 1)
+        assert not in_Psi_H(Parameter([JordanBlock(neg, 1, 1)]))
 
     def test_unknown_eta_errors(self):
         unk = CuspidalLabel("unk", 1, None, 1)
         with pytest.raises(ValueError, match="parity unknown"):
-            in_Psi_H(Parameter([JordanBlock(unk, 1, 1)]), 1)
+            in_Psi_H(Parameter([JordanBlock(unk, 1, 1)]))
 
 
 class TestReducibilityPoint:

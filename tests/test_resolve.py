@@ -170,6 +170,18 @@ class TestResolveGeneral:
             e2 = resolve_general(psi, rule="staircase").expr
             assert e1 == e2, str(psi)
 
+    def test_too_deep_is_refused_before_dominate(self, monkeypatch):
+        # 500 blocks (2,2), Sum(A-B) = 500: two frames per level cannot fit
+        # in the default recursion limit of 1000
+        def no_dominate(*args, **kwargs):
+            pytest.fail("dominate ran on a resolution that cannot fit")
+
+        monkeypatch.setattr(resolve, "dominate", no_dominate)
+        psi = Parameter([JordanBlock(R, 2, 2)] * 500)
+        with pytest.raises(ValueError, match=r"^resolution too deep: Sum\(A-B\) = 500 nested "
+                                             "expansions exceed the interpreter's recursion limit$"):
+            resolve_general(psi)
+
     def test_distinguished_word_has_unit_coefficient(self):
         rng = random.Random(45)
         for _ in range(25):
@@ -412,8 +424,8 @@ def _reference_report(psi, monkeypatch):
 
 
 class TestVerifyOracle:
-    """The whole verify_cancellation report, which peels one
-    PositionalExpr, equals the report rebuilt on the reference peel."""
+    """The whole verify_cancellation report, which peels the expansion's
+    positional terms, equals the report rebuilt on the reference peel."""
 
     def test_single_blocks(self, monkeypatch):
         psis = [Parameter([JordanBlock(R, a, b)]) for a in range(2, 9) for b in range(2, 9)]
@@ -435,9 +447,10 @@ class TestVerifyOracle:
 
 
 class TestPipelinePeelsPositionally:
-    """resolve_param and verify_cancellation peel one PositionalExpr per
-    expression: they never call the one-point operators jac_left, jac_right
-    and jac_theta, which canonicalize after every point."""
+    """resolve_param and verify_cancellation peel each expression's terms
+    dict positionally, through groth.peel_terms and theta_terms at doubled
+    points: they never call the one-point operators jac_left, jac_right and
+    jac_theta, which canonicalize after every point."""
 
     @staticmethod
     def _count_peels(monkeypatch, run):
