@@ -272,6 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if [] in vars(args).values():  # before Python 3.13 argparse reads `--x=--` as []
+        ap.error("an option value cannot be '--'")
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

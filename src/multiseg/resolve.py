@@ -18,7 +18,6 @@ middle call and by 1 through the closing one: the depth is exactly Sum(A-B).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .core import HalfInt
@@ -112,20 +111,26 @@ def distinguished_word(psi: Parameter):
     return canonical_word(build(psi.quads()))
 
 
-def _too_deep(psi: Parameter):
-    """The resolver's depth Sum(A-B) (two frames per level) and its refusal."""
+MAX_DEPTH = 24
+
+
+def _check_depth(psi: Parameter) -> None:
+    """Refuse a depth Sum(A-B) past MAX_DEPTH: each nested expansion at least
+    doubles the words, so 25 of them give 2^25 words and over an hour of work."""
     depth = sum(q.A.twice - q.B.twice for q in psi.quads()) // 2
-    return depth, ValueError(f"resolution too deep: Sum(A-B) = {depth} nested expansions "
-                             "exceed the interpreter's recursion limit")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"resolution too deep: Sum(A-B) = {depth} nested expansions "
+                         f"exceed the limit of {MAX_DEPTH}")
 
 
 def resolve_param(psi: Parameter, block_choice: str = "largest") -> Resolution:
     """Full recursive resolution of a discrete-diagonal parameter.  A depth
-    Sum(A-B) past the interpreter's recursion limit raises ValueError."""
+    Sum(A-B) past MAX_DEPTH raises ValueError."""
     if not is_discrete_diagonal(psi):
         raise ValueError("resolve_param needs a parameter of discrete diagonal restriction")
     if block_choice not in ("largest", "smallest"):
         raise ValueError(f"unknown block choice {block_choice!r}")
+    _check_depth(psi)
     pick = max if block_choice == "largest" else min
     trace: list = []
 
@@ -138,19 +143,13 @@ def resolve_param(psi: Parameter, block_choice: str = "largest") -> Resolution:
         trace.append({"case": "A=B+1" if q.A == q.B + 1 else "A>B+1", "block": str(q)})
         return _expand(q, tuple(rest), resolve)
 
-    try:
-        expr = resolve(psi.quads())
-    except RecursionError:
-        raise _too_deep(psi)[1] from None
-    return Resolution(psi, expr, trace)
+    return Resolution(psi, resolve(psi.quads()), trace)
 
 
 def resolve_general(psi: Parameter, rule: str = "minimal") -> Resolution:
     """Dominate, resolve the dominating parameter, then peel back down.  As
     domination keeps each block's A-B, a too deep resolution is refused first."""
-    depth, too_deep = _too_deep(psi)
-    if 2 * depth >= sys.getrecursionlimit():
-        raise too_deep
+    _check_depth(psi)
     psi_t, peel = dominate(psi, rule=rule)
     res = resolve_param(psi_t)
     expr = jac_theta_seq(peel, res.expr)

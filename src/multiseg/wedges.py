@@ -3,13 +3,12 @@
 A composition M of n is identified with its cut set S(M) inside {1..n-1};
 Delta^M is the complement.  The wedge element e^M strings the cuts in
 increasing order, and xi(M', M) compares e^{M'} with e^M ^ e_m for a
-one-step refinement.  Homology ranks are exact (Fraction arithmetic).
+one-step refinement.  Homology ranks are exact (integer elimination).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 
@@ -112,26 +111,21 @@ def check_subset_homology(size: int) -> bool:
     return True
 
 
-def _rank(rows: list[dict[int, Fraction]]) -> int:
-    # Gaussian elimination over Q on sparse rows.
-    rank = 0
-    pivots: dict[int, dict[int, Fraction]] = {}
+def _rank(rows: list[dict[int, int]]) -> int:
+    # Fraction-free elimination on sparse rows: a row becomes a*row - b*pivot,
+    # which over an integral domain keeps the rank it has over Q.
+    pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = dict(row)
         while row:
             c = min(row)
-            if c in pivots:
-                piv = pivots[c]
-                f = row[c] / piv[c]
-                for cc, v in piv.items():
-                    row[cc] = row.get(cc, Fraction(0)) - f * v
-                    if row[cc] == 0:
-                        del row[cc]
-            else:
+            if c not in pivots:
                 pivots[c] = row
-                rank += 1
                 break
-    return rank
+            piv = pivots[c]
+            a, b = piv[c], row[c]
+            row = {k: v for k in row.keys() | piv.keys()
+                   if (v := a * row.get(k, 0) - b * piv.get(k, 0))}
+    return len(pivots)
 
 
 def subset_complex_homology(delta, dm, dpm) -> dict[int, int]:
@@ -153,7 +147,7 @@ def subset_complex_homology(delta, dm, dpm) -> dict[int, int]:
     col = {X: i for layer in layers for i, X in enumerate(layer)}
     # rank[r]: rank of the differential from layers[r] to layers[r - 1]
     rank = {
-        r: _rank([{col[X - {m}]: Fraction(_xi_from_cuts(delta - X, m)) for m in X - dm}
+        r: _rank([{col[X - {m}]: _xi_from_cuts(delta - X, m) for m in X - dm}
                   for X in layers[r]])
         for r in range(1, len(layers))
     }

@@ -416,10 +416,10 @@ class TestClosedPipe:
 
 
 class TestRecursionTooDeep:
-    """A resolution deeper than the interpreter's recursion limit ends with
-    one error: line and exit 1.  The 500 blocks (2 + 4j, 2) are already
-    discrete diagonal, each with A - B = 1, so the resolver nests 500
-    expansions at once without a long domination step first."""
+    """A resolution deeper than resolve.MAX_DEPTH ends with one error: line
+    and exit 1.  The 500 blocks (2 + 4j, 2) are already discrete diagonal,
+    each with A - B = 1, so the resolver would nest 500 expansions at once
+    without a long domination step first."""
 
     @pytest.mark.parametrize("argv", [["resolve"], ["jacquet", "--rho", "rho", "--x", "1"]],
                              ids=["resolve", "jacquet"])
@@ -435,6 +435,22 @@ class TestRecursionTooDeep:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Sum(A-B) = 500" in proc.stderr
+
+    @pytest.mark.parametrize("blocks, depth", [
+        ("".join(f"block rho {2 + 4 * j} 2\n" for j in range(480)), 480),
+        ("block rho 2 2 x500\n", 500)], ids=["480_blocks", "x500"])
+    def test_refused_up_front(self, blocks, depth, tmp_path):
+        """480 blocks fit the interpreter's stack but 2^480 words fit
+        nowhere: the depth check refuses them at once, where a recursion
+        limit would let them run."""
+        path = tmp_path / "deep.txt"
+        path.write_text("cuspidal rho\n" + blocks)
+        env = {**os.environ, "PYTHONPATH": str(Path(multiseg.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "multiseg.cli", "resolve", str(path)],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: resolution too deep: Sum(A-B) = {depth} nested "
+                               "expansions exceed the limit of 24\n")
 
 
 class TestParserBuiltOnce:

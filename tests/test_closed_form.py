@@ -149,6 +149,13 @@ def discrete_diagonal(labels, n_max):
     return grow([], 0, n_max)
 
 
+def at_least_doubled(quads, expr):
+    """Each of the Sum(A-B) nested expansions at least doubles the words,
+    which is why resolve.MAX_DEPTH bounds the cost of a resolution."""
+    depth = sum(q.A.twice - q.B.twice for q in quads) // 2
+    return len(expr.terms) >= 2 ** depth
+
+
 def test_involution_counts():
     assert [sum(1 for _ in involutions(k)) for k in range(1, 8)] == [1, 2, 4, 10, 26, 76, 232]
 
@@ -161,7 +168,9 @@ def test_single_blocks_word_for_word():
             (q,) = psi.quads()
             if q.A <= q.B:
                 continue
-            assert closed_form([q]) == resolve_param(psi).expr, str(psi)
+            want = resolve_param(psi).expr
+            assert closed_form([q]) == want, str(psi)
+            assert at_least_doubled([q], want), str(psi)
             count += 1
             signs.add(q.zeta)
     assert (count, signs) == (64, {1, -1})
@@ -176,7 +185,9 @@ def test_several_blocks_word_for_word(labels, n_max, count):
     for psi in psis:
         quads = psi.quads()
         for choice, pick in (("largest", max), ("smallest", min)):
-            assert closed_form(quads, pick) == resolve_param(psi, choice).expr, (str(psi), choice)
+            want = resolve_param(psi, choice).expr
+            assert closed_form(quads, pick) == want, (str(psi), choice)
+            assert at_least_doubled(quads, want), str(psi)
 
 
 @pytest.mark.parametrize("blocks, words", [([(2, 2), (7, 3), (13, 3)], 32),

@@ -3,6 +3,9 @@ library quick start run as written."""
 
 import ast
 import io
+import os
+import subprocess
+import sys
 import tokenize
 import types
 from pathlib import Path
@@ -45,3 +48,14 @@ def test_readme_quick_start():
         assert repr(eval(code, namespace)) == want, code
         checked += 1
     assert checked == len(comments) == 4
+
+
+def test_cli_import_loads_no_fractions():
+    """Homology ranks are computed over Z, so importing the CLI loads
+    neither fractions nor the decimal module that fractions imports."""
+    code = ("import sys; before = set(sys.modules); import multiseg.cli; "
+            "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(multiseg.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -171,15 +171,15 @@ class TestResolveGeneral:
             assert e1 == e2, str(psi)
 
     def test_too_deep_is_refused_before_dominate(self, monkeypatch):
-        # 500 blocks (2,2), Sum(A-B) = 500: two frames per level cannot fit
-        # in the default recursion limit of 1000
+        # 500 blocks (2,2), Sum(A-B) = 500: far past the limit of 24, and
+        # domination would first build a 499 000-point peel list
         def no_dominate(*args, **kwargs):
-            pytest.fail("dominate ran on a resolution that cannot fit")
+            pytest.fail("dominate ran on a resolution that is refused")
 
         monkeypatch.setattr(resolve, "dominate", no_dominate)
         psi = Parameter([JordanBlock(R, 2, 2)] * 500)
         with pytest.raises(ValueError, match=r"^resolution too deep: Sum\(A-B\) = 500 nested "
-                                             "expansions exceed the interpreter's recursion limit$"):
+                                             "expansions exceed the limit of 24$"):
             resolve_general(psi)
 
     def test_distinguished_word_has_unit_coefficient(self):
@@ -195,6 +195,48 @@ class TestResolveGeneral:
         res = resolve_general(psi)
         assert res.trace[0]["case"] == "dominate"
         assert res.trace[0]["peel"] == [["rho", "3/2"]]
+
+
+class _Stop(Exception):
+    """Raised by a patched step to end a resolution that passed the depth check."""
+
+
+def _stop(*args, **kwargs):
+    raise _Stop
+
+
+def _deep_parameters(depth):
+    """Two discrete-diagonal parameters with Sum(A-B) = depth: blocks
+    (2+4j, 2) with A - B = 1 each, and one block (depth+1, depth+1)."""
+    return [Parameter([JordanBlock(R, 2 + 4 * j, 2) for j in range(depth)]),
+            Parameter([JordanBlock(R, depth + 1, depth + 1)])]
+
+
+class TestDepthLimit:
+    """Sum(A-B) = resolve.MAX_DEPTH = 24 passes both entry points' check, and
+    25 is refused before any work.  The patched step stops a resolution
+    that passed, which would otherwise build 2^24 words or more."""
+
+    @pytest.mark.parametrize("entry, step", [(resolve_general, "dominate"),
+                                             (resolve_param, "_expand")],
+                             ids=["resolve_general", "resolve_param"])
+    def test_boundary(self, entry, step, monkeypatch):
+        monkeypatch.setattr(resolve, step, _stop)
+        for psi in _deep_parameters(24):
+            with pytest.raises(_Stop):
+                entry(psi)
+        for psi in _deep_parameters(25):
+            with pytest.raises(ValueError, match=r"^resolution too deep: Sum\(A-B\) = 25 "
+                                                 "nested expansions exceed the limit of 24$"):
+                entry(psi)
+
+    def test_verify_on_several_blocks(self, monkeypatch):
+        # the largest block (97,3) has A = B+2, so verify resolves psi in full
+        monkeypatch.setattr(resolve, "_expand", _stop)
+        psi = Parameter([JordanBlock(R, 2 + 4 * j, 2) for j in range(23)]
+                        + [JordanBlock(R, 97, 3)])
+        with pytest.raises(ValueError, match=r"Sum\(A-B\) = 25 nested"):
+            verify_cancellation(psi)
 
 
 def _one_label_parameters(max_n):
