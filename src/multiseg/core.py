@@ -1,7 +1,10 @@
 """Half-integer arithmetic, segments, multisegments, and the dual involution.
 
 Everything here is exact: half-integers are stored as doubled integers, so
-no floating point ever enters segment combinatorics.
+no floating point ever enters segment combinatorics.  A multisegment is
+stored as sorted doubled-int rows (label, start2, end2); parsing and the dual
+work on those rows and build no `Segment` or `HalfInt`, which only
+`Multisegment.segments` and iteration make, on demand.
 """
 
 from __future__ import annotations
@@ -13,6 +16,20 @@ from dataclasses import dataclass
 
 _HALF_RE = re.compile(r"(-?[0-9]+)(/2)?")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _twice(text: str) -> int:
+    """Twice the half-integer written `n` or `n/2`."""
+    m = _HALF_RE.fullmatch(text)
+    if not m:
+        raise ValueError(f"not a half-integer: {text!r}")
+    n = int(m.group(1))
+    return n if m.group(2) else 2 * n
+
+
+def _half_str(twice: int) -> str:
+    """The text of the half-integer twice/2: `n` or `n/2`."""
+    return f"{twice}/2" if twice % 2 else str(twice // 2)
 
 
 def parse_int(text: str) -> int:
@@ -40,12 +57,7 @@ class HalfInt:
 
     @staticmethod
     def parse(text: str) -> "HalfInt":
-        text = text.strip()
-        m = _HALF_RE.fullmatch(text)
-        if not m:
-            raise ValueError(f"not a half-integer: {text!r}")
-        n = int(m.group(1))
-        return HalfInt(n if m.group(2) else 2 * n)
+        return HalfInt(_twice(text.strip()))
 
     @property
     def is_integer(self) -> bool:
@@ -66,9 +78,7 @@ class HalfInt:
         return HalfInt(self.twice * k)
 
     def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+        return _half_str(self.twice)
 
     def __repr__(self) -> str:
         return f"HalfInt({str(self)})"
@@ -148,11 +158,6 @@ class Segment:
             HalfInt(self.start.twice + 2 * s * i) for i in range(self.length)
         )
 
-    def descending(self) -> "Segment":
-        if self.start >= self.end:
-            return self
-        return Segment(self.rho, self.end, self.start)
-
     def __str__(self) -> str:
         return f"[{self.start}..{self.end}]{self.rho.name}"
 
@@ -160,38 +165,54 @@ class Segment:
 class Multisegment:
     """Multiset of segments; equality forgets orientation.
 
-    Canonical form: every segment descending, sorted by (label, start
-    descending, end descending).
+    Stored as one tuple `rows` of (label, start2, end2) with doubled ints,
+    every row descending (start2 >= end2) and sorted by (label name, start
+    descending, end descending); the sort is stable, so ties keep their
+    input order.  `segments` and iteration build the `Segment`s on demand.
     """
 
-    __slots__ = ("segments",)
+    __slots__ = ("rows",)
 
     def __init__(self, segments=()):
-        segs = tuple(
-            sorted(
-                (s.descending() for s in segments),
-                key=lambda s: (s.rho.name, -s.start.twice, -s.end.twice),
-            )
-        )
-        object.__setattr__(self, "segments", segs)
+        self._set_rows((s.rho, s.start.twice, s.end.twice) for s in segments)
+
+    @classmethod
+    def from_rows(cls, rows) -> "Multisegment":
+        """The multisegment of (label, start2, end2) rows in either
+        orientation, with no `Segment` built; the caller keeps start2 - end2
+        even."""
+        m = cls.__new__(cls)
+        m._set_rows(rows)
+        return m
+
+    def _set_rows(self, rows) -> None:
+        oriented = [(rho, s, e) if s >= e else (rho, e, s) for rho, s, e in rows]
+        oriented.sort(key=lambda r: (r[0].name, -r[1], -r[2]))
+        object.__setattr__(self, "rows", tuple(oriented))
 
     def __setattr__(self, *a):
         raise AttributeError("Multisegment is immutable")
 
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        return tuple(Segment(rho, HalfInt(s), HalfInt(e)) for rho, s, e in self.rows)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, Multisegment) and self.segments == other.segments
+        return isinstance(other, Multisegment) and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(self.segments)
+        return hash(self.rows)
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.segments)
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(s) for s in self.segments) + "}"
+        return "{" + ", ".join(
+            f"[{_half_str(s)}..{_half_str(e)}]{rho.name}" for rho, s, e in self.rows
+        ) + "}"
 
     __repr__ = __str__
 
@@ -241,15 +262,13 @@ def mw_dual(m: Multisegment) -> Multisegment:
     The result is an involution preserving cuspidal support.
     """
     families: dict[tuple[CuspidalLabel, int], list[tuple[int, int]]] = {}
-    for seg in m:
-        families.setdefault((seg.rho, seg.start.twice % 2), []).append(
-            (seg.start.twice, seg.end.twice)
-        )
-    out = []
-    for (rho, _), rows in families.items():
-        for s2, e2 in _dual_one_family(rows):
-            out.append(Segment(rho, HalfInt(s2), HalfInt(e2)))
-    return Multisegment(out)
+    for rho, s2, e2 in m.rows:
+        families.setdefault((rho, s2 % 2), []).append((s2, e2))
+    return Multisegment.from_rows(
+        (rho, s2, e2)
+        for (rho, _), rows in families.items()
+        for s2, e2 in _dual_one_family(rows)
+    )
 
 
 _SEG_RE = re.compile(r"\s*\[\s*([^.\s\]]+)\s*\.\.\s*([^.\s\]]+)\s*\]\s*([A-Za-z_]\w*)?")
@@ -266,17 +285,23 @@ def parse_multisegment(text: str) -> Multisegment:
         raise ValueError("multisegment must be enclosed in { }")
     body = text[1:-1].strip()
     labels: dict[str, CuspidalLabel] = {}
-    segs = []
+    rows = []
     pos = 0
     while pos < len(body):
         m = _SEG_RE.match(body, pos)
         if not m:
             raise ValueError(f"bad segment syntax near: {body[pos:].lstrip()!r}")
-        start, end, name = m.group(1), m.group(2), m.group(3) or "rho"
-        rho = labels.setdefault(name, CuspidalLabel(name))
-        segs.append(Segment(rho, HalfInt.parse(start), HalfInt.parse(end)))
+        start, end, name = m.groups("rho")
+        rho = labels.get(name)
+        if rho is None:
+            rho = labels[name] = CuspidalLabel(name)
+        s2, e2 = _twice(start), _twice(end)
+        if (s2 - e2) % 2:
+            raise ValueError("segment bounds differ by a non-integer: "
+                             f"[{_half_str(s2)}..{_half_str(e2)}]{name}")
+        rows.append((rho, s2, e2))
         sep = _SEP_RE.match(body, m.end())
         if not sep:
             raise ValueError(f"expected ',' between segments near: {body[m.end():].lstrip()!r}")
         pos = sep.end()
-    return Multisegment(segs)
+    return Multisegment.from_rows(rows)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Multisegment,
@@ -111,6 +111,8 @@ class TestMultisegmentCanonical:
         ("{[1.5..0]rho}", "error: bad segment syntax near: '[1.5..0]rho'"),
         ("{[1..0]rho}x", "error: multisegment must be enclosed in { }"),
         ("{ [1..0]rho , }", "{[1..0]rho}"),
+        ("{[1/2..0]rho}", "error: segment bounds differ by a non-integer: [1/2..0]rho"),
+        ("{[1/3..0]rho}", "error: not a half-integer: '1/3'"),
     ])
     def test_parse_separators_and_error_text(self, text, expected):
         try:
@@ -118,6 +120,52 @@ class TestMultisegmentCanonical:
         except ValueError as exc:
             got = f"error: {exc}"
         assert got == expected
+
+
+    def test_repeated_label_is_one_object(self):
+        m = parse_multisegment("{[0..-1]rho, [1..1], [3..2]rho}")
+        assert m.segments[0].rho is m.segments[-1].rho
+
+
+_LABELS = (CuspidalLabel("rho"), CuspidalLabel("tau"))
+
+
+@st.composite
+def _raw_rows(draw):
+    # (label, start2, end2) over one or two labels, both cosets, either
+    # orientation; the tail repeats some rows verbatim
+    labels = _LABELS[:draw(st.integers(1, 2))]
+    raw = draw(st.lists(st.tuples(st.sampled_from(labels), st.integers(-6, 6),
+                                  st.integers(0, 6), st.integers(0, 1), st.booleans()),
+                        max_size=12))
+    rows = []
+    for rho, top, n, off, up in raw:
+        s, e = 2 * top + off, 2 * (top - n) + off
+        rows.append((rho, e, s) if up else (rho, s, e))
+    return rows + rows[:draw(st.integers(0, 4))]
+
+
+class TestRowConstructor:
+    @settings(max_examples=200, deadline=None)
+    @given(_raw_rows())
+    @example([])
+    def test_rows_and_segments_agree(self, rows):
+        segs = [Segment(rho, HalfInt(s), HalfInt(e)) for rho, s, e in rows]
+        by_segs = Multisegment(segs)
+        by_rows = Multisegment.from_rows(rows)
+        assert by_rows == by_segs
+        assert hash(by_rows) == hash(by_segs)
+        assert str(by_rows) == str(by_segs)
+        assert len(by_rows) == len(by_segs) == len(rows)
+        # canonical order, derived from Segment alone: descending, then a
+        # stable sort by (label, start descending, end descending)
+        canonical = tuple(sorted((Segment(s.rho, max(s.start, s.end), min(s.start, s.end))
+                                  for s in segs),
+                                 key=lambda s: (s.rho.name, -s.start.twice, -s.end.twice)))
+        assert by_rows.segments == canonical
+        assert tuple(by_rows) == canonical
+        assert str(by_rows) == "{" + ", ".join(str(s) for s in canonical) + "}"
+        assert parse_multisegment(str(by_rows)) == by_rows
 
 
 class TestDual:
