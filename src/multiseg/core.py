@@ -219,11 +219,7 @@ class Multisegment:
 
 def support(m: Multisegment) -> Counter:
     """Multiset of (label, point) pairs covered by m."""
-    out: Counter = Counter()
-    for seg in m:
-        for x in seg.elements():
-            out[(seg.rho, x)] += 1
-    return out
+    return Counter((rho, HalfInt(t)) for rho, s, e in m.rows for t in range(s, e - 1, -2))
 
 
 def _dual_one_family(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -66,7 +66,7 @@ def total_size(word: tuple[Ladder, ...]) -> int:
 
 
 def gl_multisegment(word: tuple[Ladder, ...]) -> Multisegment:
-    return Multisegment(seg for a in word for seg in a.segments())
+    return Multisegment.from_rows((a.rho, s, e) for a in word for s, e in a.rows)
 
 
 def _sum(pairs) -> dict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from weakref import WeakValueDictionary
 
-from .core import CuspidalLabel, HalfInt, Multisegment, Segment
+from .core import CuspidalLabel, HalfInt, Multisegment, Segment, _half_str
 from .params import Quad
 
 
@@ -24,7 +24,7 @@ def _is_ladder(rows) -> bool:
 
 
 def _body(rows) -> str:
-    return ",".join(f"[{HalfInt(s)}..{HalfInt(e)}]" for s, e in rows)
+    return ",".join(f"[{_half_str(s)}..{_half_str(e)}]" for s, e in rows)
 
 
 _interned: WeakValueDictionary = WeakValueDictionary()
@@ -75,9 +75,9 @@ class Ladder:
         if len(self.rows) == 1:
             s, e = self.rows[0]
             return {"type": "segment", "rho": self.rho.name,
-                    "start": str(HalfInt(s)), "end": str(HalfInt(e))}
+                    "start": _half_str(s), "end": _half_str(e)}
         return {"type": "ladder", "rho": self.rho.name,
-                "rows": [[str(HalfInt(s)), str(HalfInt(e))] for s, e in self.rows]}
+                "rows": [[_half_str(s), _half_str(e)] for s, e in self.rows]}
 
     def __str__(self) -> str:
         if len(self.rows) == 1:
@@ -94,12 +94,9 @@ def ladder_multisegment(q: Quad) -> Ladder:
 
 def tableau_cols(q: Quad) -> Multisegment:
     """Column reading of the quad's tableau, as an (unoriented) multisegment."""
-    cols = []
-    for m in range((q.A + q.B).twice // 2 + 1):
-        top = (q.B - HalfInt.of(m)) * q.zeta
-        bottom = (q.A - HalfInt.of(m)) * q.zeta
-        cols.append(Segment(q.rho, top, bottom))
-    return Multisegment(cols)
+    A, B, z = q.A.twice, q.B.twice, q.zeta
+    return Multisegment.from_rows((q.rho, (B - 2 * m) * z, (A - 2 * m) * z)
+                                  for m in range((A + B) // 2 + 1))
 
 
 def peel(t: int, lad: Ladder, left: bool) -> Ladder | None:
@@ -154,5 +151,5 @@ def trunc_ladder(q: Quad, C: HalfInt) -> Ladder:
         nxt = peel(t, lad, True)
         lad = None if nxt is None else peel(-t, nxt, False)
         if lad is None:
-            raise ValueError(f"theta-peel at {HalfInt(t)} failed while truncating {q}")
+            raise ValueError(f"theta-peel at {_half_str(t)} failed while truncating {q}")
     return lad

@@ -208,8 +208,7 @@ def dominate(psi: Parameter, rule: str = "minimal"):
                 top = max(e for _, e in used[fam])
                 cand = top + 2
             used[fam].append((cand, cand + width))
-            Bt = HalfInt(cand)
-            new_blocks.append(from_quad(Quad(q.rho, Bt + (q.A - q.B), Bt, q.zeta)))
+            new_blocks.append(from_quad(Quad(q.rho, HalfInt(cand + width), HalfInt(cand), q.zeta)))
             for d in range(cand, q.B.twice, -2):
                 for k in range(0, width + 1, 2):
                     peel.append((q.rho, HalfInt((d + k) * q.zeta)))

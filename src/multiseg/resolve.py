@@ -3,11 +3,12 @@
 A block with A > B is expanded into the signed sum over C in ]B, A] of
   (-1)^(A-C)  <zB..-zC> x Jac^theta_{z(B+2)..zC}( rest x (A,B+2,z) ) x <zC..-zB>
 plus the closing term (-1)^[(A-B+1)/2] (rest x (A,B+1,z) x (B,B,z)).
-_expand writes this sum once, with sub() giving the words of the smaller
-parameters.  resolve_param's recursion passes itself as sub, so every
-surviving word is a product of oriented segment atoms; resolve_block is one
-step of it with the tableaux as leaves, so its truncated tableaux (the
-theta-peels of one tableau) stay ladder atoms.
+_expand writes this sum once on positional terms dicts, with sub() giving
+the words of the smaller parameters; like every jac_*, resolve_param and
+resolve_block canonicalize once, at their exit.  resolve_param's recursion
+passes itself as sub, so every surviving word is a product of oriented
+segment atoms; resolve_block is one step of it with the tableaux as leaves,
+so its truncated tableaux (the theta-peels of one tableau) stay ladder atoms.
 
 The recursion is a tree, so it keeps no memo.  Both sub calls shrink (A, B)
 inside [B, A], and every call stays discrete diagonal.  They never meet
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import HalfInt
-from .groth import (GrothExpr, SegmentAtom, canonical_expr, canonical_word, commutative_image,
+from .core import _half_str
+from .groth import (GrothExpr, _sum, canonical_expr, canonical_word, commutative_image,
                     jac_theta_seq, peel_terms, theta_terms, total_size)
 from .ladders import Ladder, ladder_multisegment
 from .params import Parameter, Quad, _quad_sort_key, dominate, is_discrete_diagonal
@@ -34,28 +35,28 @@ class Resolution:
     trace: list = field(default_factory=list)
 
 
-def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> GrothExpr:
-    """The expansion of block q next to the blocks rest; sub maps a tuple of
-    quads to a GrothExpr.  For A = B+1 the middle is sub(rest).  Each C
-    theta-peels the previous middle at zC, which is Jac^theta_{z(B+2)..zC}
-    of the first, and wraps its words in <zB..-zC> and <zC..-zB>.  The
-    middle is peeled as positional terms at the doubled point zC, and each
-    word is canonicalized only inside its wrapping.  All the terms go into one sum.  The closing
-    sub call comes last, which keeps the resolver's trace order."""
+def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> dict:
+    """The expansion of block q next to the blocks rest, as positional terms;
+    sub maps a tuple of quads to positional terms.  For A = B+1 the middle
+    is sub(rest).  Each C theta-peels the previous middle at the doubled
+    point zC, which is Jac^theta_{z(B+2)..zC} of the first, and wraps its
+    words as (<zB..-zC>, *w, <zC..-zB>), not canonicalized: the caller
+    canonicalizes once, at its exit.  All the terms go into one sum.  The
+    closing sub call comes last, which keeps the resolver's trace order."""
     rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
     inner = rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ())
-    middle = sub(inner).terms
+    middle = sub(inner)
     pairs = []
     for C in range(B + 2, A + 1, 2):
         if C >= B + 4:
             middle = theta_terms(middle, rho, C * z)
         left, right = Ladder(rho, ((B * z, -C * z),)), Ladder(rho, ((C * z, -B * z),))
         sign = (-1) ** ((A - C) // 2)
-        pairs += [(canonical_word((left, *w, right)), sign * c) for w, c in middle.items()]
+        pairs += [((left, *w, right), sign * c) for w, c in middle.items()]
     closing = sub(rest + (Quad(rho, q.A, q.B + 1, z), Quad(rho, q.B, q.B, z)))
     sign = (-1) ** (((A - B) // 2 + 1) // 2)
-    pairs += [(w, sign * c) for w, c in closing.terms.items()]
-    return GrothExpr(pairs)
+    pairs += [(w, sign * c) for w, c in closing.items()]
+    return _sum(pairs)
 
 
 def resolve_block(q: Quad) -> GrothExpr:
@@ -63,7 +64,7 @@ def resolve_block(q: Quad) -> GrothExpr:
     tableaux as leaves: the truncated tableaux come out as ladder atoms."""
     if q.A <= q.B:
         raise ValueError(f"resolve_block needs A > B, got {q}")
-    return _expand(q, (), _elementary_word)
+    return canonical_expr(_expand(q, (), _elementary_word))
 
 
 def _leading(quads, pick=max):
@@ -83,8 +84,8 @@ def _tableaux(quads) -> tuple[Ladder, ...]:
     return tuple(map(ladder_multisegment, sorted(quads, key=_quad_sort_key, reverse=True)))
 
 
-def _elementary_word(quads) -> GrothExpr:
-    return GrothExpr.word(_tableaux(quads))
+def _elementary_word(quads) -> dict:
+    return {_tableaux(quads): 1}
 
 
 def distinguished_word(psi: Parameter):
@@ -103,10 +104,8 @@ def distinguished_word(psi: Parameter):
             return _tableaux(quads)
         if q.A >= q.B + 2:
             rest.append(Quad(q.rho, q.A - 1, q.B + 1, q.zeta))
-        inner = build(tuple(rest))
-        left = SegmentAtom(q.rho, q.B * q.zeta, -(q.A * q.zeta))
-        right = SegmentAtom(q.rho, q.A * q.zeta, -(q.B * q.zeta))
-        return (left,) + inner + (right,)
+        A, B = q.A.twice * q.zeta, q.B.twice * q.zeta
+        return (Ladder(q.rho, ((B, -A),)), *build(tuple(rest)), Ladder(q.rho, ((A, -B),)))
 
     return canonical_word(build(psi.quads()))
 
@@ -134,7 +133,7 @@ def resolve_param(psi: Parameter, block_choice: str = "largest") -> Resolution:
     pick = max if block_choice == "largest" else min
     trace: list = []
 
-    def resolve(quads: tuple[Quad, ...]) -> GrothExpr:
+    def resolve(quads: tuple[Quad, ...]) -> dict:
         q, rest = _leading(quads, pick)
         if q is None:
             ordered = sorted(quads, key=_quad_sort_key)
@@ -143,7 +142,7 @@ def resolve_param(psi: Parameter, block_choice: str = "largest") -> Resolution:
         trace.append({"case": "A=B+1" if q.A == q.B + 1 else "A>B+1", "block": str(q)})
         return _expand(q, tuple(rest), resolve)
 
-    return Resolution(psi, resolve(psi.quads()), trace)
+    return Resolution(psi, canonical_expr(resolve(psi.quads())), trace)
 
 
 def resolve_general(psi: Parameter, rule: str = "minimal") -> Resolution:
@@ -163,10 +162,11 @@ def verify_cancellation(psi: Parameter) -> dict:
 
     Checks Jac_x for x outside [zeta B, zeta A], Jac_{x,x} for all support
     points, and the theta-peels at zeta C for C in ]B+1, A].  For a single
-    block the expansion is the one-level resolve_block; otherwise the full
-    recursive resolution is used.  Raises ValueError when no check applies
-    (several blocks and A = B+1), rather than report a vacuous pass.  Every
-    check peels the expansion's positional terms at a doubled point.
+    block the expansion is resolve_block's one level, kept positional;
+    otherwise the full recursive resolution is used.  Raises ValueError
+    when no check applies (several blocks and A = B+1), rather than report
+    a vacuous pass.  Every check peels the expansion's terms at a doubled
+    point.
     """
     quads = psi.quads()
     q, _ = _leading(quads)
@@ -176,18 +176,18 @@ def verify_cancellation(psi: Parameter) -> dict:
     single = len(quads) == 1
     cs = range(B + 4, A + 1, 2)
     if single:
-        expr = resolve_block(q)
+        terms = _expand(q, (), _elementary_word)
     elif not is_discrete_diagonal(psi):
         raise ValueError("verify_cancellation needs a single block or discrete diagonal input")
     elif not cs:
         raise ValueError(f"nothing to verify: {q} has A = B+1, so with further "
                          "blocks present no check applies")
     else:
-        expr = resolve_param(psi).expr
-    checks, terms = [], expr.terms
+        terms = resolve_param(psi).expr.terms
+    checks = []
 
     def check(kind, t, val, **extra):
-        checks.append({"kind": kind, "x": str(HalfInt(t)), "vanishes": val.is_zero,
+        checks.append({"kind": kind, "x": _half_str(t), "vanishes": val.is_zero,
                        **extra, "residual": len(val.terms)})
 
     if single:

@@ -15,7 +15,7 @@ from multiseg import (CuspidalLabel, GrothExpr, HalfInt, Ladder, Quad,
                       parse_parameter_file, render_parameter_file,
                       resolve_block)
 from multiseg import ladders
-from multiseg.cli import _dumps, build_parser, main
+from multiseg.cli import MAX_N, _dumps, build_parser, main
 from multiseg.groth import canonical_word
 from multiseg.paramfile import ParamFileError
 
@@ -451,6 +451,19 @@ class TestRecursionTooDeep:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == (f"error: resolution too deep: Sum(A-B) = {depth} nested "
                                "expansions exceed the limit of 24\n")
+
+
+class TestComplexCheckBound:
+    """complex-check --n past cli.MAX_N is refused at once with one error:
+    line and exit 1; the wedge suites alone would run for a long time."""
+
+    @pytest.mark.parametrize("n", [MAX_N + 1, 10**6], ids=["max_plus_1", "million"])
+    def test_refused_up_front(self, n):
+        env = {**os.environ, "PYTHONPATH": str(Path(multiseg.__file__).parents[1])}
+        argv = [sys.executable, "-m", "multiseg.cli", "complex-check", "--n", str(n)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=20)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: --n must be at most {MAX_N}, got {n}\n"
 
 
 class TestParserBuiltOnce:

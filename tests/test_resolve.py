@@ -11,7 +11,7 @@ from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock,
                       ladder_multisegment, resolve_general, resolve_param,
                       to_quad, total_size, trunc_ladder, verify_cancellation)
 from multiseg import cli, groth, parse_parameter_file, resolve
-from multiseg.groth import commutative_image
+from multiseg.groth import canonical_expr, commutative_image
 from multiseg.params import _quad_sort_key, dominate, from_quad
 
 import conftest
@@ -296,9 +296,10 @@ class TestVerifyCancellation:
 def _reference_expand(q, rest, sub):
     """The expansion step as an operator chain: one induce per C, peeled by
     the reference peel of conftest, the signed results summed as one pair
-    list.  Kept as the reference for resolve._expand."""
+    list.  Kept as the reference for resolve._expand, so it takes and
+    returns terms dicts as _expand does."""
     rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
-    middle = sub(rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ()))
+    middle = canonical_expr(sub(rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ())))
     pairs = []
     for C in range(B + 2, A + 1, 2):
         if C >= B + 4:
@@ -309,8 +310,8 @@ def _reference_expand(q, rest, sub):
         pairs += [(w, sign * c) for w, c in induce([left, middle, right]).terms.items()]
     closing = sub(rest + (Quad(rho, q.A, q.B + 1, z), Quad(rho, q.B, q.B, z)))
     sign = (-1) ** (((A - B) // 2 + 1) // 2)
-    pairs += [(w, sign * c) for w, c in closing.terms.items()]
-    return GrothExpr(pairs)
+    pairs += [(w, sign * c) for w, c in canonical_expr(closing).terms.items()]
+    return GrothExpr(pairs).terms
 
 
 _SINGLE_BLOCKS = [Parameter([JordanBlock(R, a, b)]) for a in range(2, 8) for b in range(2, 8)]
@@ -537,6 +538,46 @@ class TestPipelinePeelsPositionally:
         calls = self._count_peels(monkeypatch, lambda: (
             groth.jac_left(R, x, e), groth.jac_right(R, x, e), groth.jac_theta(R, x, e)))
         assert calls == ["jac_left", "jac_right", "jac_theta"]
+
+
+class TestOneCanonicalizationPerWord:
+    """resolve_param and resolve_block stay on positional terms and
+    canonicalize once, at their exit: groth.canonical_word runs exactly once
+    per returned word."""
+
+    @staticmethod
+    def _check(monkeypatch, runs):
+        calls = []
+        orig = groth.canonical_word
+
+        def counted(atoms):
+            calls.append(None)
+            return orig(atoms)
+
+        for mod in (groth, resolve):
+            if getattr(mod, "canonical_word", None) is orig:
+                monkeypatch.setattr(mod, "canonical_word", counted)
+        for run in runs:
+            calls.clear()
+            expr = run()
+            assert len(calls) == len(expr.terms)
+
+    def test_single_blocks(self, monkeypatch):
+        runs = []
+        for a in range(1, 9):
+            for b in range(1, 9):
+                psi = Parameter([JordanBlock(R, a, b)])
+                for choice in ("largest", "smallest"):
+                    runs.append(lambda psi=psi, c=choice: resolve_param(psi, block_choice=c).expr)
+                q = psi.quads()[0]
+                if q.A > q.B:
+                    runs.append(lambda q=q: resolve_block(q))
+        assert len(runs) == 64 * 2 + 49
+        self._check(monkeypatch, runs)
+
+    def test_multi_blocks(self, monkeypatch):
+        runs = [lambda psi=psi: resolve_param(psi).expr for psi in _MULTI_BLOCKS]
+        self._check(monkeypatch, runs)
 
 
 class TestInternKeyedByLabelData:
