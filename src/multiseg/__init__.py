@@ -2,12 +2,12 @@
 
 from types import ModuleType as _ModuleType
 
-from .core import (CuspidalLabel, HalfInt, IdentityError, Multisegment,
+from .core import (CuspidalLabel, HalfInt, IdentityError, Ladder, Multisegment,
                    Segment, mw_dual, parse_multisegment, support)
-from .groth import (GrothExpr, SegmentAtom, gl_multisegment, induce,
-                    jac_left, jac_right, jac_theta, jac_theta_seq, total_size)
-from .ladders import (Ladder, ladder_multisegment, peel_left, peel_right,
-                      tableau_cols, trunc_ladder)
+from .groth import (GrothExpr, gl_multisegment, induce, jac_left, jac_right,
+                    jac_theta, jac_theta_seq, total_size)
+from .ladders import (ladder_multisegment, peel_left, peel_right, tableau_cols,
+                      trunc_ladder)
 from .paramfile import ParamFileError, parse_parameter_file, render_parameter_file
 from .params import (JordanBlock, Parameter, Quad, block_order_cmp,
                      diag_restriction, dominate, from_quad, imp_variants,

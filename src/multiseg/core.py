@@ -1,10 +1,13 @@
-"""Half-integer arithmetic, segments, multisegments, and the dual involution.
+"""Half-integer arithmetic, ladders and segments, multisegments, and the
+dual involution.
 
 Everything here is exact: half-integers are stored as doubled integers, so
-no floating point ever enters segment combinatorics.  A multisegment is
-stored as sorted doubled-int rows (label, start2, end2); parsing and the dual
-work on those rows and build no `Segment` or `HalfInt`, which only
-`Multisegment.segments` and iteration make, on demand.
+no floating point ever enters segment combinatorics.  A `Ladder` is a
+tuple of oriented doubled-int rows over one label, interned and checked
+once when first built; a segment is a one-row ladder, which `Segment`
+builds.  A multisegment is stored as sorted doubled-int rows (label,
+start2, end2); parsing and the dual work on those rows and build no ladder
+or `HalfInt`, which only `Multisegment.segments` and iteration make.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import re
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
+from weakref import WeakValueDictionary
 
 _HALF_RE = re.compile(r"(-?[0-9]+)(/2)?")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
@@ -128,38 +132,84 @@ class CuspidalLabel:
         return f"CuspidalLabel({self.name!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
-    """Oriented interval [start .. end] of half-integers over a cuspidal label.
+def _is_ladder(rows) -> bool:
+    """Ladder condition on (start, end) pairs sorted by descending start."""
+    return all(s > s2 and e > e2 for (s, e), (s2, e2) in zip(rows, rows[1:]))
 
-    start - end must be an integer; elements run from start toward end in
-    steps of 1, in either direction.
-    """
 
-    rho: CuspidalLabel
-    start: HalfInt
-    end: HalfInt
+def _body(rows) -> str:
+    return ",".join(f"[{_half_str(s)}..{_half_str(e)}]" for s, e in rows)
 
-    def __post_init__(self):
-        if (self.start.twice - self.end.twice) % 2:
-            raise ValueError(f"segment bounds differ by a non-integer: {self}")
 
-    @property
-    def length(self) -> int:
-        return abs(self.start.twice - self.end.twice) // 2 + 1
+_interned: WeakValueDictionary = WeakValueDictionary()
 
-    @property
-    def step(self) -> int:
-        return -1 if self.start >= self.end else 1
 
-    def elements(self) -> tuple[HalfInt, ...]:
-        s = self.step
-        return tuple(
-            HalfInt(self.start.twice + 2 * s * i) for i in range(self.length)
-        )
+class Ladder:
+    """Oriented rows as doubled (start, end) pairs in ladder order
+    (descending start).  One row is the socle <rho||^start, ..., rho||^end>;
+    orientation is meaningful.
+
+    Interned: the constructor returns the live ladder with the same label
+    data (name, d, eta, chi) and rows if there is one, so equal ladders are
+    one object, equality is identity and the hash is object's.  A new value
+    is checked once, when it is first built: every row's bounds differ by
+    an integer, and the rows satisfy the ladder condition.  Built once per
+    value and read in the word loops: size (times rho.d), the sort key and
+    one (coset parity, lo, hi) span per row."""
+
+    __slots__ = ("rho", "rows", "size", "spans", "key", "__weakref__")
+
+    def __new__(cls, rho: CuspidalLabel, rows: tuple[tuple[int, int], ...]):
+        ident = (rho.name, rho.d, rho.eta, rho.chi, rows)
+        self = _interned.get(ident)
+        if self is None:
+            for s, e in rows:
+                if (s - e) % 2:
+                    raise ValueError("segment bounds differ by a non-integer: "
+                                     f"{_body(((s, e),))}{rho.name}")
+            if not _is_ladder(rows):
+                raise ValueError(f"rows do not satisfy the ladder condition: {_body(rows)}")
+            self = object.__new__(cls)
+            put = object.__setattr__
+            put(self, "rho", rho)
+            put(self, "rows", rows)
+            put(self, "size", sum(abs(s - e) // 2 + 1 for s, e in rows) * rho.d)
+            put(self, "spans", tuple((s % 2, min(s, e), max(s, e)) for s, e in rows))
+            put(self, "key", (rho.name, len(rows) > 1, rows))
+            _interned[ident] = self
+        return self
+
+    def __setattr__(self, *a):
+        raise AttributeError("Ladder is immutable")
+
+    def __reduce__(self):
+        return Ladder, (self.rho, self.rows)
+
+    def __repr__(self) -> str:
+        return f"Ladder({self.rho!r}, {self.rows!r})"
+
+    def segments(self) -> tuple["Ladder", ...]:
+        """The rows as one-row ladders."""
+        return tuple(Ladder(self.rho, (row,)) for row in self.rows)
+
+    def to_json(self):
+        if len(self.rows) == 1:
+            s, e = self.rows[0]
+            return {"type": "segment", "rho": self.rho.name,
+                    "start": _half_str(s), "end": _half_str(e)}
+        return {"type": "ladder", "rho": self.rho.name,
+                "rows": [[_half_str(s), _half_str(e)] for s, e in self.rows]}
 
     def __str__(self) -> str:
-        return f"[{self.start}..{self.end}]{self.rho.name}"
+        if len(self.rows) == 1:
+            return _body(self.rows) + self.rho.name
+        return f"L({_body(self.rows)}){self.rho.name}"
+
+
+def Segment(rho: CuspidalLabel, start: HalfInt, end: HalfInt) -> Ladder:
+    """The segment [start..end] over rho: the one-row ladder of that
+    oriented interval, whose points run from start toward end in steps of 1."""
+    return Ladder(rho, ((start.twice, end.twice),))
 
 
 class Multisegment:
@@ -168,18 +218,20 @@ class Multisegment:
     Stored as one tuple `rows` of (label, start2, end2) with doubled ints,
     every row descending (start2 >= end2) and sorted by (label name, start
     descending, end descending); the sort is stable, so ties keep their
-    input order.  `segments` and iteration build the `Segment`s on demand.
+    input order.  The constructor takes ladders, a segment being a one-row
+    ladder, and reads every row of each; `segments` and iteration build the
+    one-row ladders on demand.
     """
 
     __slots__ = ("rows",)
 
     def __init__(self, segments=()):
-        self._set_rows((s.rho, s.start.twice, s.end.twice) for s in segments)
+        self._set_rows((lad.rho, s, e) for lad in segments for s, e in lad.rows)
 
     @classmethod
     def from_rows(cls, rows) -> "Multisegment":
         """The multisegment of (label, start2, end2) rows in either
-        orientation, with no `Segment` built; the caller keeps start2 - end2
+        orientation, with no ladder built; the caller keeps start2 - end2
         even."""
         m = cls.__new__(cls)
         m._set_rows(rows)
@@ -194,8 +246,8 @@ class Multisegment:
         raise AttributeError("Multisegment is immutable")
 
     @property
-    def segments(self) -> tuple[Segment, ...]:
-        return tuple(Segment(rho, HalfInt(s), HalfInt(e)) for rho, s, e in self.rows)
+    def segments(self) -> tuple[Ladder, ...]:
+        return tuple(Ladder(rho, ((s, e),)) for rho, s, e in self.rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Multisegment) and self.rows == other.rows

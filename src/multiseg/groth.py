@@ -1,29 +1,25 @@
 """Formal integer combinations of induced words, with the Jacquet engine.
 
-A word is an ordered list of atoms: ladders over one cuspidal label, a
-one-row ladder being an oriented segment socle.  Words are identified up to
-commutation of adjacent atoms whose supports are everywhere at distance
->= 2 for a shared label; the canonical representative is the
-lexicographically least word of the commutation class (the normal form
-of the trace monoid), built by inserting one atom at a time into the
-normal form of the atoms before it.  Atoms are interned ladders: equal
-atoms are one object, carrying its size, sort key and row spans.  Jac_x
-acts by the Leibniz rule over word factors.  Every Jacquet operator runs on
-one loop, peel_terms, over positional words (atom tuples that are not
-canonicalized), and canonical_expr canonicalizes only the words it returns.
+A word is an ordered list of atoms: ladders (`core.Ladder`) over one
+cuspidal label, a one-row ladder being an oriented segment socle, which
+`core.Segment` builds.  Words are identified up to commutation of adjacent
+atoms whose supports are everywhere at distance >= 2 for a shared label;
+the canonical representative is the lexicographically least word of the
+commutation class (the normal form of the trace monoid), built by inserting
+one atom at a time into the normal form of the atoms before it.  Atoms are
+interned ladders: equal atoms are one object, carrying its size, sort key
+and row spans.  Jac_x acts by the Leibniz rule over word factors.  Every
+Jacquet operator runs on one loop, peel_terms, over positional words (atom
+tuples that are not canonicalized), and canonical_expr canonicalizes only
+the words it returns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .core import CuspidalLabel, HalfInt, Multisegment
-from .ladders import Ladder, peel
-
-
-def SegmentAtom(rho: CuspidalLabel, start: HalfInt, end: HalfInt) -> Ladder:
-    """One-row ladder for the segment [start..end]."""
-    return Ladder(rho, ((start.twice, end.twice),))
+from .core import CuspidalLabel, HalfInt, Ladder, Multisegment
+from .ladders import peel
 
 
 def _commute(a: Ladder, b: Ladder) -> bool:
@@ -66,7 +62,8 @@ def total_size(word: tuple[Ladder, ...]) -> int:
 
 
 def gl_multisegment(word: tuple[Ladder, ...]) -> Multisegment:
-    return Multisegment.from_rows((a.rho, s, e) for a in word for s, e in a.rows)
+    """The multisegment of every row of every atom of the word."""
+    return Multisegment(word)
 
 
 def _sum(pairs) -> dict:

@@ -3,86 +3,18 @@
 A ladder is a multisegment over one label whose rows have pairwise distinct
 starts and pairwise distinct ends, with both orders agreeing.  Rows stay
 oriented: the tableau of a quad has descending rows for zeta=+ and
-ascending rows for zeta=-.  The same type is the factor of a word in the
-formal group; a segment is a one-row ladder.  Ladders are hash-consed:
-each value is built once while it is alive, through a process-wide table of
-weak references, so every layer compares atoms by identity and hashes them
-with the builtin hash.
+ascending rows for zeta=-.  The same type, `core.Ladder`, is the factor of
+a word in the formal group, and a segment is a one-row ladder.  Ladders are
+hash-consed: each value is built and checked once while it is alive,
+through a process-wide table of weak references in `core`, so every layer
+compares atoms by identity and hashes them with the builtin hash.  This
+module builds the ladders of a quad and peels them one point at a time.
 """
 
 from __future__ import annotations
 
-from weakref import WeakValueDictionary
-
-from .core import CuspidalLabel, HalfInt, Multisegment, Segment, _half_str
+from .core import HalfInt, Ladder, Multisegment, _half_str, _is_ladder
 from .params import Quad
-
-
-def _is_ladder(rows) -> bool:
-    """Ladder condition on (start, end) pairs sorted by descending start."""
-    return all(s > s2 and e > e2 for (s, e), (s2, e2) in zip(rows, rows[1:]))
-
-
-def _body(rows) -> str:
-    return ",".join(f"[{_half_str(s)}..{_half_str(e)}]" for s, e in rows)
-
-
-_interned: WeakValueDictionary = WeakValueDictionary()
-
-
-class Ladder:
-    """Oriented rows as doubled (start, end) pairs in ladder order
-    (descending start).  One row is the socle <rho||^start, ..., rho||^end>;
-    orientation is meaningful.
-
-    Interned: the constructor returns the live ladder with the same label
-    data (name, d, eta, chi) and rows if there is one, so equal ladders are
-    one object, equality is identity and the hash is object's.  Built once
-    per value and read in the word loops: size (times rho.d), the sort key
-    and one (coset parity, lo, hi) span per row."""
-
-    __slots__ = ("rho", "rows", "size", "spans", "key", "__weakref__")
-
-    def __new__(cls, rho: CuspidalLabel, rows: tuple[tuple[int, int], ...]):
-        ident = (rho.name, rho.d, rho.eta, rho.chi, rows)
-        self = _interned.get(ident)
-        if self is None:
-            if not _is_ladder(rows):
-                raise ValueError(f"rows do not satisfy the ladder condition: {_body(rows)}")
-            self = object.__new__(cls)
-            put = object.__setattr__
-            put(self, "rho", rho)
-            put(self, "rows", rows)
-            put(self, "size", sum(abs(s - e) // 2 + 1 for s, e in rows) * rho.d)
-            put(self, "spans", tuple((s % 2, min(s, e), max(s, e)) for s, e in rows))
-            put(self, "key", (rho.name, len(rows) > 1, rows))
-            _interned[ident] = self
-        return self
-
-    def __setattr__(self, *a):
-        raise AttributeError("Ladder is immutable")
-
-    def __reduce__(self):
-        return Ladder, (self.rho, self.rows)
-
-    def __repr__(self) -> str:
-        return f"Ladder({self.rho!r}, {self.rows!r})"
-
-    def segments(self) -> tuple[Segment, ...]:
-        return tuple(Segment(self.rho, HalfInt(s), HalfInt(e)) for s, e in self.rows)
-
-    def to_json(self):
-        if len(self.rows) == 1:
-            s, e = self.rows[0]
-            return {"type": "segment", "rho": self.rho.name,
-                    "start": _half_str(s), "end": _half_str(e)}
-        return {"type": "ladder", "rho": self.rho.name,
-                "rows": [[_half_str(s), _half_str(e)] for s, e in self.rows]}
-
-    def __str__(self) -> str:
-        if len(self.rows) == 1:
-            return _body(self.rows) + self.rho.name
-        return f"L({_body(self.rows)}){self.rho.name}"
 
 
 def ladder_multisegment(q: Quad) -> Ladder:

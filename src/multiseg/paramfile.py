@@ -49,11 +49,14 @@ def parse_parameter_file(text: str) -> tuple[Parameter, dict[str, CuspidalLabel]
             name = toks[1]
             if name in labels:
                 raise ParamFileError(line_no, f"duplicate cuspidal name {name!r}")
-            d, eta, chi = 1, None, 1
+            d, eta, chi, seen = 1, None, 1, set()
             for opt in toks[2:]:
                 if "=" not in opt:
                     raise ParamFileError(line_no, f"expected key=value, got {opt!r}")
                 key, val = opt.split("=", 1)
+                if key in seen:
+                    raise ParamFileError(line_no, f"duplicate option {key!r}")
+                seen.add(key)
                 if key == "d":
                     d = _positive(val, "d", f"bad d value {val!r}", line_no)
                 elif key == "eta":

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import _half_str
+from .core import Ladder, _half_str
 from .groth import (GrothExpr, _sum, canonical_expr, canonical_word, commutative_image,
                     jac_theta_seq, peel_terms, theta_terms, total_size)
-from .ladders import Ladder, ladder_multisegment
+from .ladders import ladder_multisegment
 from .params import Parameter, Quad, _quad_sort_key, dominate, is_discrete_diagonal
 
 

@@ -14,7 +14,7 @@ import multiseg
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, Ladder, Quad,
                       parse_parameter_file, render_parameter_file,
                       resolve_block)
-from multiseg import ladders
+from multiseg import core
 from multiseg.cli import MAX_N, _dumps, build_parser, main
 from multiseg.groth import canonical_word
 from multiseg.paramfile import ParamFileError
@@ -268,6 +268,16 @@ class TestErrorPaths:
         p.write_text(text, encoding="utf-8")
         assert self._run(["classify", str(p)], capsys) == (1, err)
 
+    @pytest.mark.parametrize("options", ["d=1 d=2", "eta=+1 d=2 eta=-1", "chi=-1 chi=-1"],
+                             ids=["d", "eta", "chi"])
+    def test_paramfile_repeated_option(self, options, tmp_path, capsys):
+        # a repeated option is refused, not read as its last value
+        key = options.split()[-1].split("=")[0]
+        p = tmp_path / "psi.txt"
+        p.write_text(f"cuspidal rho {options}\nblock rho 2 2\n")
+        assert self._run(["classify", str(p)], capsys) == (
+            1, f"error: line 1: duplicate option '{key}'\n")
+
     def test_multisegment_digits_are_ascii(self, capsys):
         assert self._run(["dual", "{[٣..0]}"], capsys) == (
             1, "error: not a half-integer: '٣'\n")
@@ -506,7 +516,7 @@ class TestNoCrossCallState:
         path.write_text("cuspidal xi\nblock xi 3 3\nblock xi 3 3\nblock xi 2 2\n")
 
         def held():
-            return [key for key in ladders._interned.keys() if key[0] == "xi"]
+            return [key for key in core._interned.keys() if key[0] == "xi"]
 
         assert held() == []
         assert main(["resolve", "--json", str(path)]) == 0

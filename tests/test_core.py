@@ -4,10 +4,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Multisegment,
+from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Ladder, Multisegment,
                       Segment, ladder_multisegment, mw_dual,
                       gl_multisegment, parse_multisegment, support,
                       tableau_cols, to_quad)
+from multiseg import core
 from multiseg.core import _dual_one_family
 
 from conftest import random_multisegment
@@ -49,18 +50,51 @@ class TestHalfInt:
 
 class TestSegmentElements:
     def test_descending(self):
-        assert seg(2, 0).elements() == (HalfInt.of(2), HalfInt.of(1), HalfInt.of(0))
+        assert support(Multisegment([seg(2, 0)])) == {
+            (RHO, HalfInt.of(2)): 1, (RHO, HalfInt.of(1)): 1, (RHO, HalfInt.of(0)): 1}
 
     def test_ascending(self):
-        assert seg("-1/2", "3/2").elements() == (
-            HalfInt.parse("-1/2"), HalfInt.parse("1/2"), HalfInt.parse("3/2"))
+        assert support(Multisegment([seg("-1/2", "3/2")])) == {
+            (RHO, HalfInt.parse("-1/2")): 1, (RHO, HalfInt.parse("1/2")): 1,
+            (RHO, HalfInt.parse("3/2")): 1}
 
     def test_singleton(self):
-        assert seg(1, 1).elements() == (HalfInt.of(1),)
+        assert support(Multisegment([seg(1, 1)])) == {(RHO, HalfInt.of(1)): 1}
 
     def test_mixed_coset_rejected(self):
         with pytest.raises(ValueError):
             seg("1/2", 1)
+
+
+class TestOneRowType:
+    """A segment is the one-row ladder; both constructors check the parity
+    of every row, once, when the value is first built."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Segment(RHO, HalfInt(1), HalfInt(0)),
+        lambda: Ladder(RHO, ((1, 0),)),
+        lambda: Ladder(RHO, ((4, 2), (1, 0))),
+        lambda: Ladder(RHO, ((1, 0), (4, 2))),
+    ], ids=["segment", "one-row", "two-row", "two-row-unordered"])
+    def test_parity_checked_where_built(self, build):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == "segment bounds differ by a non-integer: [1/2..0]rho"
+        assert not [key for key in core._interned.keys() if (1, 0) in key[-1]]
+
+    def test_segment_is_the_one_row_ladder(self):
+        s = Segment(RHO, HalfInt(4), HalfInt(0))
+        assert s is Ladder(RHO, ((4, 0),))
+        assert (s.rows, s.size) == (((4, 0),), 3)
+        assert Segment(CuspidalLabel("tau", 2), HalfInt(-1), HalfInt(3)).size == 6
+
+    def test_multisegment_reads_every_row(self):
+        word = (Ladder(RHO, ((6, -4), (4, -6))), seg(0, 2), Ladder(RHO, ((3, -1), (1, -3))),
+                Ladder(CuspidalLabel("tau", 2), ((2, 0), (0, -2))))
+        rows = [(a.rho, s, e) for a in word for s, e in a.rows]
+        assert len(rows) == 7
+        assert Multisegment(word) == gl_multisegment(word) == Multisegment.from_rows(rows)
+        assert Multisegment(word) == Multisegment(r for a in word for r in a.segments())
 
 
 class TestSupport:
@@ -124,7 +158,7 @@ class TestMultisegmentCanonical:
 
     def test_repeated_label_is_one_object(self):
         m = parse_multisegment("{[0..-1]rho, [1..1], [3..2]rho}")
-        assert m.segments[0].rho is m.segments[-1].rho
+        assert m.rows[0][0] is m.rows[-1][0]
 
 
 _LABELS = (CuspidalLabel("rho"), CuspidalLabel("tau"))
@@ -159,9 +193,9 @@ class TestRowConstructor:
         assert len(by_rows) == len(by_segs) == len(rows)
         # canonical order, derived from Segment alone: descending, then a
         # stable sort by (label, start descending, end descending)
-        canonical = tuple(sorted((Segment(s.rho, max(s.start, s.end), min(s.start, s.end))
+        canonical = tuple(sorted((Segment(s.rho, HalfInt(max(s.rows[0])), HalfInt(min(s.rows[0])))
                                   for s in segs),
-                                 key=lambda s: (s.rho.name, -s.start.twice, -s.end.twice)))
+                                 key=lambda s: (s.rho.name, -s.rows[0][0], -s.rows[0][1])))
         assert by_rows.segments == canonical
         assert tuple(by_rows) == canonical
         assert str(by_rows) == "{" + ", ".join(str(s) for s in canonical) + "}"
@@ -216,7 +250,7 @@ class TestDual:
     def test_contragredient_symmetry(self, raw):
         # reflecting every segment x -> -x commutes with the dual
         def reflect(m):
-            return Multisegment(Segment(s.rho, -s.start, -s.end) for s in m)
+            return Multisegment(Ladder(s.rho, ((-s.rows[0][0], -s.rows[0][1]),)) for s in m)
 
         m = Multisegment(
             Segment(CuspidalLabel(name), HalfInt(2 * s + half), HalfInt(2 * e + half))
@@ -281,8 +315,8 @@ def _scan_dual_one_family(segs: list[list[int]]) -> list[tuple[int, int]]:
 def _scan_dual(m: Multisegment) -> Multisegment:
     families = {}
     for s in m:
-        families.setdefault((s.rho, s.start.twice % 2), []).append(
-            [s.start.twice, s.end.twice])
+        a, b = s.rows[0]
+        families.setdefault((s.rho, a % 2), []).append([a, b])
     return Multisegment(
         Segment(rho, HalfInt(a), HalfInt(b))
         for (rho, _), rows in families.items()

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock, Ladder,
-                      Parameter, SegmentAtom, gl_multisegment,
+                      Parameter, Segment, gl_multisegment,
                       induce, jac_left, jac_right, jac_theta, jac_theta_seq,
                       ladder_multisegment, parse_multisegment,
                       resolve_general, total_size)
@@ -25,7 +25,7 @@ def hi(x):
 
 
 def atom(s, e, rho=R):
-    return SegmentAtom(rho, hi(s), hi(e))
+    return Segment(rho, hi(s), hi(e))
 
 
 def word(*atoms):
@@ -289,7 +289,7 @@ def _random_atom(rng: random.Random):
     rho = rng.choice([R, D2])
     off = rng.randint(0, 1)
     if rng.random() < 0.5:
-        return SegmentAtom(rho, HalfInt(2 * rng.randint(-3, 3) + off),
+        return Segment(rho, HalfInt(2 * rng.randint(-3, 3) + off),
                            HalfInt(2 * rng.randint(-3, 3) + off))
     k = rng.randint(2, 3)
     starts = sorted(rng.sample(range(-4, 5), k), reverse=True)

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Ladder,
-                      Multisegment, Quad, Segment, SegmentAtom, ladder_multisegment,
+                      Multisegment, Quad, Segment, ladder_multisegment,
                       peel_left, peel_right, tableau_cols, to_quad,
                       trunc_ladder)
 from multiseg.ladders import _is_ladder, peel
@@ -24,6 +24,12 @@ def quad(A, B, zeta=1):
 
 def seg(s, e):
     return Segment(R, hi(s), hi(e))
+
+
+def _points(segment):
+    """The doubled points of a one-row ladder, from its row's bounds."""
+    s, e = segment.rows[0]
+    return range(min(s, e), max(s, e) + 1, 2)
 
 
 def lad(*pairs):
@@ -59,7 +65,7 @@ class TestLadderMultisegment:
                 L = ladder_multisegment(q)
                 assert len(L.rows) == (q.A - q.B).twice // 2 + 1
                 assert L.size == a * b
-                assert all(abs(x.twice) <= q.A.twice for r in L.segments() for x in r.elements())
+                assert all(abs(t) <= q.A.twice for r in L.segments() for t in r.rows[0])
 
     def test_ladder_condition_enforced(self):
         with pytest.raises(ValueError):
@@ -86,9 +92,9 @@ class TestAtomData:
                     for s, e in rows]
             rng.shuffle(segs)
             built = Ladder(CuspidalLabel(name, d), tuple(sorted(
-                ((r.start.twice, r.end.twice) for r in segs), reverse=True)))
+                (r.rows[0] for r in segs), reverse=True)))
             for L in (direct, built):
-                assert L.size == sum(len(s.elements()) for s in segs) * d
+                assert L.size == sum(len(_points(s)) for s in segs) * d
                 assert L.key == (name, k > 1, rows)
             assert direct == built and hash(direct) == hash(built)
 
@@ -105,10 +111,10 @@ class TestInterning:
                  trunc_ladder(quad(3, 0), hi(1)),
                  peel(8, Ladder(R, ((8, -4), (4, -6))), True)]
         assert all(L is built[0] for L in built)
-        one_row = [Ladder(R, ((2, -2),)), SegmentAtom(R, hi(1), hi(-1)),
+        one_row = [Ladder(R, ((2, -2),)), Segment(R, hi(1), hi(-1)),
                    lad((1, -1)), ladder_multisegment(quad(1, 1)),
-                   peel(4, SegmentAtom(R, hi(2), hi(-1)), True),
-                   peel(-4, SegmentAtom(R, hi(1), hi(-2)), False)]
+                   peel(4, Segment(R, hi(2), hi(-1)), True),
+                   peel(-4, Segment(R, hi(1), hi(-2)), False)]
         assert all(L is one_row[0] for L in one_row)
         assert trunc_ladder(quad(3, 0), hi(2)) is lad((3, -1), (1, -3))
 
@@ -174,7 +180,7 @@ class TestPeels:
             for b in range(1, 6):
                 q = to_quad(JordanBlock(R, a, b))
                 L = ladder_multisegment(q)
-                points = {x.twice for r in L.segments() for x in r.elements()}
+                points = {t for r in L.segments() for t in _points(r)}
                 for t in sorted(points | {min(points) - 2, max(points) + 2}):
                     got = peel_left(HalfInt(t), L)
                     if HalfInt(t) == q.B * q.zeta:
@@ -265,7 +271,7 @@ class TestTruncLadder:
                     q = quad(A, B, zeta)
                     for C in range(B + 1, A + 1):
                         L = trunc_ladder(q, hi(C))
-                        pts = {x.twice for r in L.segments() for x in r.elements()}
+                        pts = {t for r in L.segments() for t in _points(r)}
                         peelable = {
                             t for t in pts if peel_left(HalfInt(t), L) is not None
                         }

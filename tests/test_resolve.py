@@ -5,7 +5,7 @@ import pytest
 
 import multiseg
 from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock,
-                      Ladder, Parameter, Quad, SegmentAtom, degree_conserved,
+                      Ladder, Parameter, Quad, Segment, degree_conserved,
                       distinguished_word, induce, is_discrete_diagonal,
                       jac_left, jac_theta, jac_theta_seq, resolve_block,
                       ladder_multisegment, resolve_general, resolve_param,
@@ -28,7 +28,7 @@ def hi(x):
 
 
 def atom(s, e, rho=R):
-    return SegmentAtom(rho, hi(s), hi(e))
+    return Segment(rho, hi(s), hi(e))
 
 
 def all_quads(max_A2: int):
