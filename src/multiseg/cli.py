@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 input/validation error, 2 violated internal
 identity (something that must vanish or agree did not).
+
+`--json` output is written by one recursive writer, `_dumps`, with fixed
+two-space indentation; its bytes are those of `json.dumps(payload,
+indent=2)`, whose indenting encoder is pure Python.
 """
 
 from __future__ import annotations
@@ -45,33 +49,56 @@ def _emit(as_json: bool, payload, lines) -> None:
             print(line)
 
 
-def _dumps(payload) -> str:
-    """`json.dumps(payload, indent=2)`, where a `GrothExpr` value of a dict
-    payload stands for its `to_json()` and is written by `_terms`."""
-    if not isinstance(payload, dict) or not payload:
-        return json.dumps(payload, indent=2)
-
-    def value(v):
-        if isinstance(v, GrothExpr):
-            return _terms(v)
-        return json.dumps(v, indent=2).replace("\n", "\n  ")
-    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {value(v)}" for k, v in payload.items()) + "\n}"
+_string = json.encoder.encode_basestring_ascii  # json.dumps's C string escaper
 
 
-def _terms(expr: GrothExpr) -> str:
-    """`expr.to_json()` as `_dumps` writes it one level deep.  Each distinct
-    atom is encoded once per call; its text is reused at every occurrence."""
+def _dumps(value, pad="\n") -> str:
+    """`json.dumps(value, indent=2)`, with `to_json()` in place of each
+    `GrothExpr`, written by one recursive writer: pad is the newline and
+    indentation of the line the value starts on.  It takes the shapes the
+    commands print, dicts with str keys, lists, tuples, str, bool, int,
+    None and `GrothExpr`, and raises TypeError on anything else."""
+    if isinstance(value, str):
+        return _string(value)
+    if isinstance(value, bool):  # before int: a bool is an int
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise TypeError(f"cannot write a key of type {type(k).__name__}")
+            items.append(f"{_string(k)}: {_dumps(v, inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_dumps(v, inner) for v in value])}{pad}]"
+    if isinstance(value, GrothExpr):
+        return _terms(value, pad)
+    raise TypeError(f"cannot write a value of type {type(value).__name__}")
+
+
+def _terms(expr: GrothExpr, pad: str) -> str:
+    """`_dumps(expr.to_json(), pad)`.  Each distinct atom is written once
+    per call; its text is reused at every occurrence."""
     terms = expr.sorted_terms()
     if not terms:
         return "[]"
-    atoms = {a: json.dumps(a.to_json(), indent=2).replace("\n", "\n        ")
-             for a in set().union(*expr.terms)}
-    sep = ",\n        "
+    at = pad + "      "
+    atoms = {a: _dumps(a.to_json(), at) for a in set().union(*expr.terms)}
+    sep = "," + at
     blocks = []
     for w, c in terms:
-        word = f"[\n        {sep.join(map(atoms.__getitem__, w))}\n      ]" if w else "[]"
-        blocks.append(f'{{\n      "coeff": {c},\n      "word": {word}\n    }}')
-    return "[\n    " + ",\n    ".join(blocks) + "\n  ]"
+        word = f"[{at}{sep.join(map(atoms.__getitem__, w))}{pad}    ]" if w else "[]"
+        blocks.append(f'{{{pad}    "coeff": {c},{pad}    "word": {word}{pad}  }}')
+    return f"[{pad}  " + f",{pad}  ".join(blocks) + f"{pad}]"
 
 
 def _sgn(v: int) -> str:

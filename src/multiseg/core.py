@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from weakref import WeakValueDictionary
 
 _HALF_RE = re.compile(r"(-?[0-9]+)(/2)?")
@@ -100,15 +100,19 @@ class IdentityError(RuntimeError):
 class CuspidalLabel:
     """Abstract self-dual cuspidal datum: dimension d, parity eta, character sign chi.
 
-    Labels compare and hash by name; the numeric attributes are carried data.
     eta is +1 (orthogonal), -1 (symplectic) or None (unknown).  When eta = -1
     the quadratic character class is forced trivial.
+
+    Labels compare by `key`, all four fields (eta None as 0), so two labels
+    of one name with different data are different labels; the hash reads
+    the name only.  `key` also orders the rows of a multisegment.
     """
 
     name: str
     d: int = 1
     eta: int | None = None
     chi: int = 1
+    key: tuple = field(init=False)
 
     def __post_init__(self):
         if not self.name:
@@ -121,9 +125,10 @@ class CuspidalLabel:
             raise ValueError(f"label {self.name}: chi must be +1 or -1")
         if self.eta == -1 and self.chi != 1:
             raise ValueError(f"label {self.name}: eta=-1 forces chi=+1")
+        object.__setattr__(self, "key", (self.name, self.d, self.eta or 0, self.chi))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CuspidalLabel) and self.name == other.name
+        return self is other or (isinstance(other, CuspidalLabel) and self.key == other.key)
 
     def __hash__(self) -> int:
         return hash(self.name)
@@ -216,11 +221,11 @@ class Multisegment:
     """Multiset of segments; equality forgets orientation.
 
     Stored as one tuple `rows` of (label, start2, end2) with doubled ints,
-    every row descending (start2 >= end2) and sorted by (label name, start
-    descending, end descending); the sort is stable, so ties keep their
-    input order.  The constructor takes ladders, a segment being a one-row
-    ladder, and reads every row of each; `segments` and iteration build the
-    one-row ladders on demand.
+    every row descending (start2 >= end2) and sorted by (label key, start
+    descending, end descending), so equal multisets have equal rows.  The
+    constructor takes ladders, a segment being a one-row ladder, and reads
+    every row of each; `segments` and iteration build the one-row ladders
+    on demand.
     """
 
     __slots__ = ("rows",)
@@ -239,7 +244,7 @@ class Multisegment:
 
     def _set_rows(self, rows) -> None:
         oriented = [(rho, s, e) if s >= e else (rho, e, s) for rho, s, e in rows]
-        oriented.sort(key=lambda r: (r[0].name, -r[1], -r[2]))
+        oriented.sort(key=lambda r: (r[0].key, -r[1], -r[2]))
         object.__setattr__(self, "rows", tuple(oriented))
 
     def __setattr__(self, *a):

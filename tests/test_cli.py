@@ -352,15 +352,38 @@ class TestRenderOnlyWhatIsPrinted:
         assert calls == {"Multisegment.__str__": 2}
 
 
+_JSON_CASES = [c for c in GOLDEN_CASES if "--json" in c["argv"]]
+_ODD_TEXT = '"\\\x00\x07\n\x1f\x7f\u00e9\u03c4\u2028\ud800\U0001f600 a'
+_EXPRS = st.lists(st.tuples(st.lists(_atoms(), max_size=3), st.integers(-7, 7).filter(bool)),
+                  max_size=3).map(lambda pairs: GrothExpr((canonical_word(w), c) for w, c in pairs))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+                     st.text(max_size=6), st.text(_ODD_TEXT, max_size=6))
+
+
+def _containers(kids):
+    keys = st.text(max_size=4) | st.text(_ODD_TEXT, max_size=4)
+    return (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+            | st.dictionaries(keys, kids, max_size=4))
+
+
 class TestJsonRendererOracle:
-    """`cli._dumps` writes a `GrothExpr` value itself.  Its output must be
-    the bytes of `json.dumps(indent=2)` over the payload with the
+    """`cli._dumps` writes every `--json` payload itself.  Its output must
+    be the bytes of `json.dumps(indent=2)` over the payload with each
     expression replaced by `to_json()`."""
 
-    @staticmethod
-    def _reference(payload):
-        return json.dumps({k: v.to_json() if isinstance(v, GrothExpr) else v
-                           for k, v in payload.items()}, indent=2)
+    @classmethod
+    def _plain(cls, v):
+        if isinstance(v, GrothExpr):
+            return v.to_json()
+        if isinstance(v, dict):
+            return {k: cls._plain(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [cls._plain(x) for x in v]
+        return v
+
+    @classmethod
+    def _reference(cls, payload):
+        return json.dumps(cls._plain(payload), indent=2)
 
     def _check(self, expr):
         for payload in ({"psi": "{(rho,1,1)}", "n": 2, "terms": expr,
@@ -374,6 +397,26 @@ class TestJsonRendererOracle:
     def test_random_expressions(self, pairs):
         self._check(GrothExpr((canonical_word(w), c) for w, c in pairs))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(_SCALARS | _EXPRS, _containers, max_leaves=10))
+    def test_random_payloads(self, payload):
+        assert _dumps(payload) == self._reference(payload)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_EXPRS, st.text(_ODD_TEXT, max_size=4))
+    def test_expression_at_depth_two(self, expr, key):
+        payload = {key: [{"terms": expr, "n": -1}, expr], "x": [expr]}
+        assert _dumps(payload) == self._reference(payload)
+
+    @pytest.mark.parametrize("payload", [
+        1.5, {1, 2}, {1: "a"}, {None: 1}, {("a",): 1}, object(),
+        {"a": [1, 2.5]}, [{"b": frozenset()}], {"c": {2: 3}}],
+        ids=["float", "set", "int-key", "none-key", "tuple-key", "object",
+             "nested-float", "nested-frozenset", "nested-int-key"])
+    def test_other_types_raise(self, payload):
+        with pytest.raises(TypeError):
+            _dumps(payload)
+
     def test_zero_and_empty_word(self):
         self._check(GrothExpr())
         self._check(GrothExpr.word(()))
@@ -386,23 +429,43 @@ class TestJsonRendererOracle:
         self._check(expr)
         self._check(GrothExpr((w, -2 * c) for w, c in expr.terms.items()))
 
-    @pytest.mark.parametrize("case", [c for c in GOLDEN_CASES
-                                      if c["argv"][0] in ("resolve", "jacquet")
-                                      and "--json" in c["argv"]],
-                             ids=lambda c: c["name"])
+    @pytest.mark.parametrize("case", _JSON_CASES, ids=lambda c: c["name"])
     def test_golden_payloads(self, case, monkeypatch, capsys):
         import multiseg.cli
         payloads = []
+        emit = multiseg.cli._emit
 
-        def recording(payload):
-            payloads.append(payload)
-            return _dumps(payload)
-        monkeypatch.setattr(multiseg.cli, "_dumps", recording)
+        def recording(as_json, payload, lines):
+            payloads.append(payload())
+            emit(as_json, lambda: payloads[-1], lines)
+        monkeypatch.setattr(multiseg.cli, "_emit", recording)
         monkeypatch.chdir(GOLDEN)
         assert main(list(case["argv"])) == case["exit"]
-        (payload,) = payloads
-        assert isinstance(payload["terms"], GrothExpr)
-        assert capsys.readouterr().out == self._reference(payload) + "\n"
+        assert len(payloads) == (case["exit"] != 1)  # exit 1 refuses the input before output
+        if case["argv"][0] in ("resolve", "jacquet") and payloads:
+            assert isinstance(payloads[0]["terms"], GrothExpr)
+        assert capsys.readouterr().out == "".join(self._reference(p) + "\n" for p in payloads)
+
+
+class TestNoPurePythonEncoder:
+    """No `--json` call enters `json.dumps`'s pure-Python encoder, which
+    `indent=2` selects; every golden `--json` case still prints its
+    recorded bytes and exit code with that encoder refused."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_encoder(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.encoder._make_iterencode was entered")
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        with pytest.raises(AssertionError):
+            json.dumps([1], indent=2)
+
+    @pytest.mark.parametrize("case", _JSON_CASES, ids=lambda c: c["name"])
+    def test_golden_case(self, case, monkeypatch, capsys):
+        monkeypatch.chdir(GOLDEN)
+        assert main(list(case["argv"])) == case["exit"]
+        out = capsys.readouterr().out
+        assert out == (GOLDEN / f"{case['name']}.out").read_text(encoding="utf-8")
 
 
 class TestClosedPipe:

@@ -202,6 +202,49 @@ class TestRowConstructor:
         assert parse_multisegment(str(by_rows)) == by_rows
 
 
+# three labels of one name that differ in d or eta
+_ONE_NAME = (CuspidalLabel("rho"), CuspidalLabel("rho", 2), CuspidalLabel("rho", 1, -1))
+
+
+class TestLabelsOfOneName:
+    """Labels of one name with different data are different labels, so a
+    multisegment, a word's multisegment and the dual keep their rows
+    apart."""
+
+    def test_labels_compare_by_data(self):
+        rho, rho2, rho_symp = _ONE_NAME
+        assert rho == CuspidalLabel("rho", 1, None, 1)
+        assert rho != rho2 and rho != rho_symp and rho2 != rho_symp
+        assert CuspidalLabel("rho", chi=-1) != rho
+        assert hash(rho) == hash(rho2)
+
+    def test_multisegments_differ(self):
+        rho, rho2, _ = _ONE_NAME
+        a, b = seg(1, 0, rho), seg(1, 0, rho2)
+        assert Multisegment([a]) != Multisegment([b])
+        assert gl_multisegment((a,)) != gl_multisegment((b,))
+        assert Multisegment([a, b]) == Multisegment([b, a])
+
+    def test_mixed_dual_keeps_each_rows_d(self):
+        rho, rho2, _ = _ONE_NAME
+        low, high = [seg(1, 0, rho)], [seg(2, 1, rho2)]
+        mixed = mw_dual(Multisegment(low + high))
+        assert mixed == Multisegment.from_rows(mw_dual(Multisegment(low)).rows
+                                               + mw_dual(Multisegment(high)).rows)
+        assert sorted((r.d, s, e) for r, s, e in mixed.rows) == [
+            (1, 0, 0), (1, 2, 2), (2, 2, 2), (2, 4, 4)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_ONE_NAME), st.integers(-5, 5),
+                              st.integers(0, 4)), max_size=10))
+    def test_dual_is_the_union_of_per_label_duals(self, raw):
+        rows = [(rho, 2 * top, 2 * (top - n)) for rho, top, n in raw]
+        per_label = [r for rho in _ONE_NAME for r in
+                     mw_dual(Multisegment.from_rows([x for x in rows if x[0] is rho])).rows]
+        assert mw_dual(Multisegment.from_rows(rows)) == Multisegment.from_rows(per_label)
+        assert Multisegment.from_rows(rows) == Multisegment.from_rows(rows[::-1])
+
+
 class TestDual:
     def test_steinberg_to_speh(self):
         assert mw_dual(ms((2, 0))) == ms((0, 0), (1, 1), (2, 2))
