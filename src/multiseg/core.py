@@ -15,7 +15,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass, field
 from weakref import WeakValueDictionary
 
 _HALF_RE = re.compile(r"(-?[0-9]+)(/2)?")
@@ -45,11 +44,69 @@ def parse_int(text: str) -> int:
     return int(text)
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class HalfInt:
-    """An element of (1/2)Z, stored as twice its value."""
+class Frozen:
+    """Base of the immutable value types.  A subclass lists its fields in
+    `__slots__`, sets each once, in its constructor, through
+    object.__setattr__, and returns its constructor's arguments from
+    `_astuple`; assigning or deleting an attribute afterwards raises
+    AttributeError.  Equality (NotImplemented against any other class), the
+    hash, the repr `Name(field=value, ...)`, pickling and copying all read
+    that tuple."""
 
-    twice: int
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._astuple()))
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class HalfInt(Frozen):
+    """An element of (1/2)Z, stored as twice its value.  HalfInts order
+    only among themselves; the comparisons read `twice` directly, since
+    dominate and the quad checks run them in loops."""
+
+    __slots__ = ("twice",)
+
+    def __init__(self, twice: int):
+        object.__setattr__(self, "twice", twice)
+
+    def _astuple(self) -> tuple:
+        return (self.twice,)
+
+    def __eq__(self, other):
+        return self.twice == other.twice if other.__class__ is HalfInt else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.twice,))
+
+    def __lt__(self, other):
+        return self.twice < other.twice if other.__class__ is HalfInt else NotImplemented
+
+    def __le__(self, other):
+        return self.twice <= other.twice if other.__class__ is HalfInt else NotImplemented
+
+    def __gt__(self, other):
+        return self.twice > other.twice if other.__class__ is HalfInt else NotImplemented
+
+    def __ge__(self, other):
+        return self.twice >= other.twice if other.__class__ is HalfInt else NotImplemented
 
     @staticmethod
     def of(x) -> "HalfInt":
@@ -96,8 +153,7 @@ class IdentityError(RuntimeError):
     not of its input."""
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class CuspidalLabel:
+class CuspidalLabel(Frozen):
     """Abstract self-dual cuspidal datum: dimension d, parity eta, character sign chi.
 
     eta is +1 (orthogonal), -1 (symplectic) or None (unknown).  When eta = -1
@@ -108,24 +164,28 @@ class CuspidalLabel:
     the name only.  `key` also orders the rows of a multisegment.
     """
 
-    name: str
-    d: int = 1
-    eta: int | None = None
-    chi: int = 1
-    key: tuple = field(init=False)
+    __slots__ = ("name", "d", "eta", "chi", "key")
 
-    def __post_init__(self):
-        if not self.name:
+    def __init__(self, name: str, d: int = 1, eta: int | None = None, chi: int = 1):
+        if not name:
             raise ValueError("cuspidal label needs a nonempty name")
-        if self.d < 1:
-            raise ValueError(f"label {self.name}: d must be >= 1")
-        if self.eta not in (1, -1, None):
-            raise ValueError(f"label {self.name}: eta must be +1, -1 or unknown")
-        if self.chi not in (1, -1):
-            raise ValueError(f"label {self.name}: chi must be +1 or -1")
-        if self.eta == -1 and self.chi != 1:
-            raise ValueError(f"label {self.name}: eta=-1 forces chi=+1")
-        object.__setattr__(self, "key", (self.name, self.d, self.eta or 0, self.chi))
+        if d < 1:
+            raise ValueError(f"label {name}: d must be >= 1")
+        if eta not in (1, -1, None):
+            raise ValueError(f"label {name}: eta must be +1, -1 or unknown")
+        if chi not in (1, -1):
+            raise ValueError(f"label {name}: chi must be +1 or -1")
+        if eta == -1 and chi != 1:
+            raise ValueError(f"label {name}: eta=-1 forces chi=+1")
+        put = object.__setattr__
+        put(self, "name", name)
+        put(self, "d", d)
+        put(self, "eta", eta)
+        put(self, "chi", chi)
+        put(self, "key", (name, d, eta or 0, chi))
+
+    def _astuple(self) -> tuple:
+        return (self.name, self.d, self.eta, self.chi)
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, CuspidalLabel) and self.key == other.key)
@@ -154,19 +214,20 @@ class Ladder:
     (descending start).  One row is the socle <rho||^start, ..., rho||^end>;
     orientation is meaningful.
 
-    Interned: the constructor returns the live ladder with the same label
-    data (name, d, eta, chi) and rows if there is one, so equal ladders are
-    one object, equality is identity and the hash is object's.  A new value
-    is checked once, when it is first built: every row's bounds differ by
-    an integer, and the rows satisfy the ladder condition.  Built once per
-    value and read in the word loops: size (times rho.d), the sort key and
-    one (coset parity, lo, hi) span per row."""
+    Interned by `key`, (label key, multi-row, rows): the constructor returns
+    the live ladder with the same label data (name, d, eta, chi) and rows if
+    there is one, so equal ladders are one object, equality is identity and
+    the hash is object's.  A new value is checked once, when it is first
+    built: every row's bounds differ by an integer, and the rows satisfy the
+    ladder condition.  Built once per value and read in the word loops: size
+    (times rho.d), the sort key and one (coset parity, lo, hi) span per
+    row."""
 
     __slots__ = ("rho", "rows", "size", "spans", "key", "__weakref__")
 
     def __new__(cls, rho: CuspidalLabel, rows: tuple[tuple[int, int], ...]):
-        ident = (rho.name, rho.d, rho.eta, rho.chi, rows)
-        self = _interned.get(ident)
+        key = (rho.key, len(rows) > 1, rows)
+        self = _interned.get(key)
         if self is None:
             for s, e in rows:
                 if (s - e) % 2:
@@ -180,8 +241,8 @@ class Ladder:
             put(self, "rows", rows)
             put(self, "size", sum(abs(s - e) // 2 + 1 for s, e in rows) * rho.d)
             put(self, "spans", tuple((s % 2, min(s, e), max(s, e)) for s, e in rows))
-            put(self, "key", (rho.name, len(rows) > 1, rows))
-            _interned[ident] = self
+            put(self, "key", key)
+            _interned[key] = self
         return self
 
     def __setattr__(self, *a):

@@ -25,7 +25,7 @@ from .ladders import peel
 def _commute(a: Ladder, b: Ladder) -> bool:
     """True unless the labels agree and two rows in one coset of Z come
     within distance 1 of each other (doubled: a gap of at most 2)."""
-    if a.rho.name != b.rho.name:
+    if a.rho is not b.rho and a.rho.key != b.rho.key:
         return True
     for p, lo, hi in a.spans:
         for p2, lo2, hi2 in b.spans:
@@ -147,9 +147,9 @@ def peel_terms(terms: dict, rho: CuspidalLabel, t: int, left: bool) -> dict:
     and Jac acts on any representative of a commutation class.  Each
     distinct atom is peeled once per step.  An emptied atom keeps its place
     with no rows, never peels again, and canonical_word drops it."""
-    name, moves = rho.name, {}
+    key, moves = rho.key, {}
     for a in set().union(*terms):
-        if a.rho.name == name:
+        if a.rho.key == key:
             new = peel(t, a, left)
             if new is not None:
                 moves[a] = new

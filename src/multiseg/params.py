@@ -2,22 +2,24 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import ZERO, CuspidalLabel, HalfInt
+from .core import ZERO, CuspidalLabel, Frozen, HalfInt
 
 
-@dataclass(frozen=True, slots=True)
-class JordanBlock:
+class JordanBlock(Frozen):
     """Triple (rho, a, b); size a*b*d_rho."""
 
-    rho: CuspidalLabel
-    a: int
-    b: int
+    __slots__ = ("rho", "a", "b")
 
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ValueError(f"block ({self.rho.name},{self.a},{self.b}): a,b must be >= 1")
+    def __init__(self, rho: CuspidalLabel, a: int, b: int):
+        if a < 1 or b < 1:
+            raise ValueError(f"block ({rho.name},{a},{b}): a,b must be >= 1")
+        put = object.__setattr__
+        put(self, "rho", rho)
+        put(self, "a", a)
+        put(self, "b", b)
+
+    def _astuple(self) -> tuple:
+        return (self.rho, self.a, self.b)
 
     @property
     def size(self) -> int:
@@ -27,28 +29,30 @@ class JordanBlock:
         return f"({self.rho.name},{self.a},{self.b})"
 
 
-@dataclass(frozen=True, slots=True)
-class Quad:
+class Quad(Frozen):
     """Quadruple recoding (rho, A, B, zeta): A=(a+b)/2-1, B=|a-b|/2, zeta=sign(a-b).
 
     A quad with B=0 is normalized to zeta=+1 on construction (the two signs
     give isomorphic data there).
     """
 
-    rho: CuspidalLabel
-    A: HalfInt
-    B: HalfInt
-    zeta: int
+    __slots__ = ("rho", "A", "B", "zeta")
 
-    def __post_init__(self):
-        if self.zeta not in (1, -1):
+    def __init__(self, rho: CuspidalLabel, A: HalfInt, B: HalfInt, zeta: int):
+        if zeta not in (1, -1):
             raise ValueError("zeta must be +1 or -1")
-        if self.B < ZERO or self.A < self.B:
-            raise ValueError(f"need A >= B >= 0, got A={self.A}, B={self.B}")
-        if not (self.A - self.B).is_integer:
+        if B < ZERO or A < B:
+            raise ValueError(f"need A >= B >= 0, got A={A}, B={B}")
+        if not (A - B).is_integer:
             raise ValueError("A - B must be an integer")
-        if self.B == ZERO and self.zeta == -1:
-            object.__setattr__(self, "zeta", 1)
+        put = object.__setattr__
+        put(self, "rho", rho)
+        put(self, "A", A)
+        put(self, "B", B)
+        put(self, "zeta", 1 if B == ZERO else zeta)
+
+    def _astuple(self) -> tuple:
+        return (self.rho, self.A, self.B, self.zeta)
 
     def __str__(self) -> str:
         return f"({self.rho.name},A={self.A},B={self.B},{'+' if self.zeta == 1 else '-'})"

@@ -19,8 +19,6 @@ middle call and by 1 through the closing one: the depth is exactly Sum(A-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .core import Ladder, _half_str
 from .groth import (GrothExpr, _sum, canonical_expr, canonical_word, commutative_image,
                     jac_theta_seq, peel_terms, theta_terms, total_size)
@@ -28,11 +26,25 @@ from .ladders import ladder_multisegment
 from .params import Parameter, Quad, _quad_sort_key, dominate, is_discrete_diagonal
 
 
-@dataclass
 class Resolution:
-    psi: Parameter
-    expr: GrothExpr
-    trace: list = field(default_factory=list)
+    """A parameter, its expression in the Grothendieck group, and the
+    resolver's steps as trace dicts.  Mutable and unhashable; equal when
+    all three fields are."""
+
+    __slots__ = ("psi", "expr", "trace")
+
+    def __init__(self, psi: Parameter, expr: GrothExpr, trace: list | None = None):
+        self.psi = psi
+        self.expr = expr
+        self.trace = [] if trace is None else trace
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.psi, self.expr, self.trace) == (other.psi, other.expr, other.trace)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Resolution(psi={self.psi!r}, expr={self.expr!r}, trace={self.trace!r})"
 
 
 def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> dict:

@@ -8,17 +8,21 @@ one-step refinement.  Homology ranks are exact (integer elimination).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
+from .core import Frozen
 
-@dataclass(frozen=True, slots=True)
-class Composition:
-    parts: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError(f"composition parts must be positive: {self.parts}")
+class Composition(Frozen):
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...]):
+        if not parts or any(p < 1 for p in parts):
+            raise ValueError(f"composition parts must be positive: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def _astuple(self) -> tuple:
+        return (self.parts,)
 
     @property
     def n(self) -> int:

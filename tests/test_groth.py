@@ -285,6 +285,34 @@ class TestCommute:
             assert len(calls) == max(k - 1, 0)
 
 
+class TestLabelsSharingAName:
+    """Two labels with one name and different data are two cuspidal lines:
+    commutation, the Jacquet peels and the print order read the label's
+    full key, never its name alone."""
+
+    RHO_D1, RHO_D2 = CuspidalLabel("rho", 1), CuspidalLabel("rho", 2)
+    RHO_PLUS, RHO_MINUS = CuspidalLabel("rho", 1, 1), CuspidalLabel("rho", 1, -1)
+
+    def test_atoms_over_different_labels_commute(self):
+        x, y = atom(1, 0, self.RHO_D1), atom(2, 2, self.RHO_D2)
+        assert _commute(x, y) and _commute(y, x)
+        assert canonical_word((x, y)) == canonical_word((y, x))
+        assert combine((1, word(x, y)), (-1, word(y, x))).is_zero
+
+    def test_jac_left_peels_its_own_label_only(self):
+        e = word(atom(2, 0, self.RHO_D2), atom(5, 5, self.RHO_D1))
+        assert jac_left(self.RHO_D1, hi(2), e).is_zero
+        assert jac_left(self.RHO_D2, hi(2), e) == word(atom(1, 0, self.RHO_D2),
+                                                       atom(5, 5, self.RHO_D1))
+
+    def test_print_order_ignores_insertion_order(self):
+        a, b = atom(1, 0, self.RHO_PLUS), atom(1, 0, self.RHO_MINUS)
+        one = GrothExpr([((a,), 1), ((b,), -1)])
+        two = GrothExpr([((b,), -1), ((a,), 1)])
+        assert one.sorted_terms() == two.sorted_terms()
+        assert str(one) == str(two) == "-[1..0]rho +[1..0]rho"
+
+
 def _random_atom(rng: random.Random):
     rho = rng.choice([R, D2])
     off = rng.randint(0, 1)

@@ -95,7 +95,7 @@ class TestAtomData:
                 (r.rows[0] for r in segs), reverse=True)))
             for L in (direct, built):
                 assert L.size == sum(len(_points(s)) for s in segs) * d
-                assert L.key == (name, k > 1, rows)
+                assert L.key == ((name, d, 0, 1), k > 1, rows)
             assert direct == built and hash(direct) == hash(built)
 
 

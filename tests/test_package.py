@@ -50,12 +50,25 @@ def test_readme_quick_start():
     assert checked == len(comments) == 4
 
 
-def test_cli_import_loads_no_fractions():
-    """Homology ranks are computed over Z, so importing the CLI loads
-    neither fractions nor the decimal module that fractions imports."""
+def _modules_loaded_by_cli_import(names) -> str:
+    """Which of `names` a fresh interpreter loads when it imports the CLI."""
     code = ("import sys; before = set(sys.modules); import multiseg.cli; "
-            "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))")
+            f"print(sorted({set(names)!r} & (set(sys.modules) - before)))")
     env = {**os.environ, "PYTHONPATH": str(Path(multiseg.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+def test_cli_import_loads_no_fractions():
+    """Homology ranks are computed over Z, so importing the CLI loads
+    neither fractions nor the decimal module that fractions imports."""
+    assert _modules_loaded_by_cli_import({"fractions", "decimal"}) == "[]\n"
+
+
+def test_cli_import_loads_no_dataclasses():
+    """The value classes are plain __slots__ classes: importing dataclasses,
+    and the inspect module it imports, would add several milliseconds to
+    every command-line call."""
+    assert _modules_loaded_by_cli_import({"dataclasses", "inspect"}) == "[]\n"

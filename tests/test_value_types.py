@@ -1,0 +1,180 @@
+"""The contract of the value classes: HalfInt, CuspidalLabel, JordanBlock,
+Quad, Composition and Resolution.
+
+Each expected value (repr text, error message, hash, comparison result)
+was recorded from the frozen-dataclass versions of these classes, so the
+plain classes that replaced them must keep every one.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from multiseg import CuspidalLabel, GrothExpr, HalfInt, JordanBlock, Parameter
+from multiseg.params import Quad
+from multiseg.resolve import Resolution
+from multiseg.wedges import Composition
+
+R = CuspidalLabel("rho")
+
+
+def h(twice):
+    return HalfInt(twice)
+
+
+# (value, its repr, its field tuple) for every immutable class
+FROZEN = [
+    (h(3), "HalfInt(3/2)", (3,)),
+    (h(-4), "HalfInt(-2)", (-4,)),
+    (JordanBlock(R, 3, 2), "JordanBlock(rho=CuspidalLabel('rho'), a=3, b=2)", (R, 3, 2)),
+    (Quad(R, h(5), h(1), -1),
+     "Quad(rho=CuspidalLabel('rho'), A=HalfInt(5/2), B=HalfInt(1/2), zeta=-1)",
+     (R, h(5), h(1), -1)),
+    (Composition((2, 1)), "Composition(parts=(2, 1))", ((2, 1),)),
+]
+LABELS = [CuspidalLabel("rho"), CuspidalLabel("sig", 2, -1, 1), CuspidalLabel("tau", 1, 1, -1)]
+IMMUTABLE = [v for v, _, _ in FROZEN] + LABELS
+
+
+@pytest.mark.parametrize("value, text, fields", FROZEN, ids=lambda v: type(v).__name__)
+def test_repr_eq_and_hash(value, text, fields):
+    assert repr(value) == text
+    assert hash(value) == hash(fields)
+    assert value.__eq__(object()) is NotImplemented
+    assert value != fields and value != "x" and value != 1
+    assert value == type(value)(*fields)
+
+
+def test_label_repr_eq_and_hash():
+    assert [repr(rho) for rho in LABELS] == ["CuspidalLabel('rho')", "CuspidalLabel('sig')",
+                                              "CuspidalLabel('tau')"]
+    assert LABELS[1].key == ("sig", 2, -1, 1) and LABELS[0].key == ("rho", 1, 0, 1)
+    assert all(hash(rho) == hash(rho.name) for rho in LABELS)
+    assert LABELS[0].__eq__(object()) is False
+    assert CuspidalLabel("rho", 1, 1) != CuspidalLabel("rho", 1, -1)
+
+
+def test_quad_normalizes_zeta_at_b_zero():
+    q = Quad(R, h(4), h(0), -1)
+    assert q.zeta == 1 and q == Quad(R, h(4), h(0), 1)
+    assert repr(q) == "Quad(rho=CuspidalLabel('rho'), A=HalfInt(2), B=HalfInt(0), zeta=1)"
+    assert hash(q) == hash((R, h(4), h(0), 1))
+
+
+def test_keywords_and_defaults():
+    assert str(JordanBlock(R, a=2, b=3)) == "(rho,2,3)"
+    assert str(Quad(rho=R, A=h(2), B=h(0), zeta=1)) == "(rho,A=1,B=0,+)"
+    assert HalfInt(twice=3) == h(3)
+    assert Composition(parts=(1,)).parts == (1,)
+    assert CuspidalLabel(name="x", d=2, eta=None, chi=-1).key == ("x", 2, 0, -1)
+
+
+def test_halfint_orders_against_halfint_only():
+    values = [h(t) for t in range(-5, 6)]
+    for x in values:
+        for y in values:
+            assert (x < y, x <= y, x > y, x >= y, x == y) == (
+                x.twice < y.twice, x.twice <= y.twice, x.twice > y.twice,
+                x.twice >= y.twice, x.twice == y.twice)
+    assert sorted([h(3), h(-1), h(0)]) == [h(-1), h(0), h(3)]
+    assert h(1).__lt__(1) is NotImplemented
+    assert h(2) != 1 and h(2) != (2,)
+    for op in ("<", "<=", ">", ">="):
+        with pytest.raises(TypeError, match=f"'{op}' not supported between instances "
+                                            "of 'HalfInt' and 'int'"):
+            eval(f"h(1) {op} 1")
+        with pytest.raises(TypeError, match=f"'{op}' not supported between instances "
+                                            "of 'int' and 'HalfInt'"):
+            eval(f"1 {op} h(1)")
+
+
+@pytest.mark.parametrize("value", IMMUTABLE, ids=lambda v: type(v).__name__)
+def test_assignment_and_deletion_raise(value):
+    for name in type(value).__slots__:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.other = 1
+
+
+@pytest.mark.parametrize("value", IMMUTABLE, ids=lambda v: type(v).__name__)
+def test_pickle_and_copy_round_trips(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+        assert all(getattr(twin, f) == getattr(value, f) for f in type(value).__slots__)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: JordanBlock(R, 0, 1), "block (rho,0,1): a,b must be >= 1"),
+    (lambda: Quad(R, h(2), h(0), 0), "zeta must be +1 or -1"),
+    (lambda: Quad(R, h(2), h(4), 1), "need A >= B >= 0, got A=1, B=2"),
+    (lambda: Quad(R, h(2), h(-2), 1), "need A >= B >= 0, got A=1, B=-1"),
+    (lambda: Quad(R, h(3), h(0), 1), "A - B must be an integer"),
+    (lambda: Composition(()), "composition parts must be positive: ()"),
+    (lambda: Composition((1, 0)), "composition parts must be positive: (1, 0)"),
+    (lambda: CuspidalLabel(""), "cuspidal label needs a nonempty name"),
+    (lambda: CuspidalLabel("r", 0), "label r: d must be >= 1"),
+    (lambda: CuspidalLabel("r", 1, 2), "label r: eta must be +1, -1 or unknown"),
+    (lambda: CuspidalLabel("r", 1, 1, 0), "label r: chi must be +1 or -1"),
+    (lambda: CuspidalLabel("r", 1, -1, -1), "label r: eta=-1 forces chi=+1"),
+])
+def test_constructor_errors(make, message):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: HalfInt(), "HalfInt.__init__() missing 1 required positional argument: 'twice'"),
+    (lambda: JordanBlock(R, 1), "JordanBlock.__init__() missing 1 required positional "
+                                "argument: 'b'"),
+    (lambda: Quad(R, h(1), h(1)), "Quad.__init__() missing 1 required positional argument: "
+                                  "'zeta'"),
+    (lambda: Composition(), "Composition.__init__() missing 1 required positional argument: "
+                            "'parts'"),
+    (lambda: Resolution(), "Resolution.__init__() missing 2 required positional arguments: "
+                           "'psi' and 'expr'"),
+    (lambda: CuspidalLabel("x", key=1), "CuspidalLabel.__init__() got an unexpected keyword "
+                                        "argument 'key'"),
+])
+def test_signature_errors(make, message):
+    with pytest.raises(TypeError) as err:
+        make()
+    assert str(err.value) == message
+
+
+class TestResolution:
+    def test_fresh_default_trace(self):
+        one, two = Resolution(Parameter(), GrothExpr()), Resolution(Parameter(), GrothExpr())
+        assert one.trace == [] and one.trace is not two.trace
+        one.trace.append({"case": "elementary"})
+        assert two.trace == [] and Resolution(Parameter(), GrothExpr()).trace == []
+
+    def test_repr_and_eq(self):
+        psi = Parameter([JordanBlock(R, 1, 1)])
+        res = Resolution(psi, GrothExpr(), [1])
+        assert repr(res) == "Resolution(psi={(rho,1,1)}, expr=0, trace=[1])"
+        assert repr(Resolution(Parameter(), GrothExpr())) == "Resolution(psi={}, expr=0, trace=[])"
+        assert res == Resolution(psi, GrothExpr(), [1])
+        assert res != Resolution(psi, GrothExpr()) and res != (psi, GrothExpr(), [1])
+        assert res.__eq__(object()) is NotImplemented
+
+    def test_mutable_and_unhashable(self):
+        res = Resolution(Parameter(), GrothExpr())
+        res.trace = [2]
+        assert res.trace == [2]
+        with pytest.raises(TypeError, match="unhashable type: 'Resolution'"):
+            hash(res)
+
+    def test_copies(self):
+        res = Resolution(Parameter(), GrothExpr(), [{"case": "elementary"}])
+        twin = copy.copy(res)
+        assert twin == res and twin.trace is res.trace
+        # Parameter and GrothExpr do not pickle, so stand-in fields carry
+        # the round trips of the Resolution itself
+        plain = Resolution("psi", "expr", [{"case": "elementary"}])
+        for twin in (pickle.loads(pickle.dumps(plain)), copy.deepcopy(plain)):
+            assert twin == plain and twin.trace is not plain.trace
