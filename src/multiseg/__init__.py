@@ -2,8 +2,8 @@
 
 from types import ModuleType as _ModuleType
 
-from .core import (CuspidalLabel, HalfInt, IdentityError, Ladder, Multisegment,
-                   Segment, mw_dual, parse_multisegment, support)
+from .core import (CuspidalLabel, IdentityError, Ladder, Multisegment, mw_dual,
+                   parse_multisegment, support)
 from .groth import (GrothExpr, gl_multisegment, induce, jac_left, jac_right,
                     jac_theta, jac_theta_seq, total_size)
 from .ladders import (ladder_multisegment, peel_left, peel_right, tableau_cols,

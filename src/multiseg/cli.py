@@ -16,7 +16,7 @@ import json
 import os
 import sys
 
-from .core import HalfInt, IdentityError, mw_dual, parse_int, parse_multisegment
+from .core import IdentityError, _half_str, _twice, mw_dual, parse_int, parse_multisegment
 from .groth import GrothExpr, jac_left, jac_theta
 from .paramfile import parse_parameter_file, render_parameter_file
 from .params import (dominate, in_Psi_H, is_discrete, is_discrete_diagonal,
@@ -188,13 +188,13 @@ def cmd_jacquet(args) -> int:
     if args.rho not in labels:
         raise ValueError(f"unknown cuspidal {args.rho!r}")
     rho = labels[args.rho]
-    x = HalfInt.parse(args.x)
+    t = _twice(args.x.strip())
     expr = resolve_general(psi).expr
-    out = jac_theta(rho, x, expr) if args.theta else jac_left(rho, x, expr)
+    out = jac_theta(rho, t, expr) if args.theta else jac_left(rho, t, expr)
     op = "jac_theta" if args.theta else "jac_left"
+    x = _half_str(t)
     _emit(args.json,
-          lambda: {"psi": str(psi), "op": op, "rho": args.rho, "x": str(x),
-                   "terms": out},
+          lambda: {"psi": str(psi), "op": op, "rho": args.rho, "x": x, "terms": out},
           lambda: [f"{op}({x}) = {out}"])
     return OK
 
@@ -204,10 +204,10 @@ def cmd_dominate(args) -> int:
     tilde, peel = dominate(psi, rule=args.rule)
     _emit(args.json,
           lambda: {"psi": str(psi), "psi_tilde": str(tilde),
-                   "peel": [[rho.name, str(x)] for rho, x in peel],
+                   "peel": [[rho.name, _half_str(t)] for rho, t in peel],
                    "file": render_parameter_file(tilde)},
           lambda: [f"psi       = {psi}", f"psi~      = {tilde}",
-                   "peel list = (" + ", ".join(f"{r.name}:{x}" for r, x in peel) + ")"])
+                   "peel list = (" + ", ".join(f"{r.name}:{_half_str(t)}" for r, t in peel) + ")"])
     return OK
 
 

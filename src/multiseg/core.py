@@ -1,13 +1,14 @@
-"""Half-integer arithmetic, ladders and segments, multisegments, and the
-dual involution.
+"""Half-integer text, ladders and segments, multisegments, and the dual
+involution.
 
-Everything here is exact: half-integers are stored as doubled integers, so
-no floating point ever enters segment combinatorics.  A `Ladder` is a
-tuple of oriented doubled-int rows over one label, interned and checked
-once when first built; a segment is a one-row ladder, which `Segment`
-builds.  A multisegment is stored as sorted doubled-int rows (label,
-start2, end2); parsing and the dual work on those rows and build no ladder
-or `HalfInt`, which only `Multisegment.segments` and iteration make.
+Everything here is exact: below the text boundary a half-integer x is the
+int 2x ("t doubled"), and `_twice` and `_half_str` are the only converters
+from and to its text `n` or `n/2`.  A `Ladder` is a tuple of oriented
+doubled-int rows over one label, interned and checked once when first
+built; a segment is a one-row ladder.  A multisegment is stored as sorted
+doubled-int rows (label, start2, end2); parsing and the dual work on those
+rows and build no ladder, which only `Multisegment.segments` and iteration
+make.
 """
 
 from __future__ import annotations
@@ -75,77 +76,6 @@ class Frozen:
     def __repr__(self) -> str:
         body = ", ".join(f"{f}={v!r}" for f, v in zip(self.__slots__, self._astuple()))
         return f"{self.__class__.__qualname__}({body})"
-
-
-class HalfInt(Frozen):
-    """An element of (1/2)Z, stored as twice its value.  HalfInts order
-    only among themselves; the comparisons read `twice` directly, since
-    dominate and the quad checks run them in loops."""
-
-    __slots__ = ("twice",)
-
-    def __init__(self, twice: int):
-        object.__setattr__(self, "twice", twice)
-
-    def _astuple(self) -> tuple:
-        return (self.twice,)
-
-    def __eq__(self, other):
-        return self.twice == other.twice if other.__class__ is HalfInt else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.twice,))
-
-    def __lt__(self, other):
-        return self.twice < other.twice if other.__class__ is HalfInt else NotImplemented
-
-    def __le__(self, other):
-        return self.twice <= other.twice if other.__class__ is HalfInt else NotImplemented
-
-    def __gt__(self, other):
-        return self.twice > other.twice if other.__class__ is HalfInt else NotImplemented
-
-    def __ge__(self, other):
-        return self.twice >= other.twice if other.__class__ is HalfInt else NotImplemented
-
-    @staticmethod
-    def of(x) -> "HalfInt":
-        if isinstance(x, HalfInt):
-            return x
-        if isinstance(x, int):
-            return HalfInt(2 * x)
-        raise TypeError(f"cannot coerce {x!r} to HalfInt")
-
-    @staticmethod
-    def parse(text: str) -> "HalfInt":
-        return HalfInt(_twice(text.strip()))
-
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.of(other).twice)
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.twice - HalfInt.of(other).twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def __mul__(self, k: int) -> "HalfInt":
-        if not isinstance(k, int):
-            raise TypeError("HalfInt can only be scaled by an integer")
-        return HalfInt(self.twice * k)
-
-    def __str__(self) -> str:
-        return _half_str(self.twice)
-
-    def __repr__(self) -> str:
-        return f"HalfInt({str(self)})"
-
-
-ZERO = HalfInt(0)
 
 
 class IdentityError(RuntimeError):
@@ -272,12 +202,6 @@ class Ladder:
         return f"L({_body(self.rows)}){self.rho.name}"
 
 
-def Segment(rho: CuspidalLabel, start: HalfInt, end: HalfInt) -> Ladder:
-    """The segment [start..end] over rho: the one-row ladder of that
-    oriented interval, whose points run from start toward end in steps of 1."""
-    return Ladder(rho, ((start.twice, end.twice),))
-
-
 class Multisegment:
     """Multiset of segments; equality forgets orientation.
 
@@ -311,6 +235,9 @@ class Multisegment:
     def __setattr__(self, *a):
         raise AttributeError("Multisegment is immutable")
 
+    def __reduce__(self):
+        return Multisegment.from_rows, (self.rows,)
+
     @property
     def segments(self) -> tuple[Ladder, ...]:
         return tuple(Ladder(rho, ((s, e),)) for rho, s, e in self.rows)
@@ -336,8 +263,8 @@ class Multisegment:
 
 
 def support(m: Multisegment) -> Counter:
-    """Multiset of (label, point) pairs covered by m."""
-    return Counter((rho, HalfInt(t)) for rho, s, e in m.rows for t in range(s, e - 1, -2))
+    """Multiset of (label, t) pairs covered by m, each point t doubled."""
+    return Counter((rho, t) for rho, s, e in m.rows for t in range(s, e - 1, -2))
 
 
 def _dual_one_family(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:

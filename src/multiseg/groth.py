@@ -1,24 +1,24 @@
 """Formal integer combinations of induced words, with the Jacquet engine.
 
 A word is an ordered list of atoms: ladders (`core.Ladder`) over one
-cuspidal label, a one-row ladder being an oriented segment socle, which
-`core.Segment` builds.  Words are identified up to commutation of adjacent
-atoms whose supports are everywhere at distance >= 2 for a shared label;
-the canonical representative is the lexicographically least word of the
-commutation class (the normal form of the trace monoid), built by inserting
-one atom at a time into the normal form of the atoms before it.  Atoms are
-interned ladders: equal atoms are one object, carrying its size, sort key
-and row spans.  Jac_x acts by the Leibniz rule over word factors.  Every
-Jacquet operator runs on one loop, peel_terms, over positional words (atom
-tuples that are not canonicalized), and canonical_expr canonicalizes only
-the words it returns.
+cuspidal label, a one-row ladder being an oriented segment socle.  Words
+are identified up to commutation of adjacent atoms whose supports are
+everywhere at distance >= 2 for a shared label; the canonical
+representative is the lexicographically least word of the commutation
+class (the normal form of the trace monoid), built by inserting one atom at
+a time into the normal form of the atoms before it.  Atoms are interned
+ladders: equal atoms are one object, carrying its size, sort key and row
+spans.  Jac_x acts by the Leibniz rule over word factors; every Jacquet
+operator takes its point x as the doubled int t = 2x.  Each runs on one
+loop, peel_terms, over positional words (atom tuples that are not
+canonicalized), and canonical_expr canonicalizes only the words it returns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .core import CuspidalLabel, HalfInt, Ladder, Multisegment
+from .core import CuspidalLabel, Ladder, Multisegment
 from .ladders import peel
 
 
@@ -89,6 +89,9 @@ class GrothExpr:
 
     def __setattr__(self, *a):
         raise AttributeError("GrothExpr is immutable")
+
+    def __reduce__(self):
+        return GrothExpr, (tuple(self.terms.items()),)
 
     @staticmethod
     def word(atoms, coeff: int = 1) -> "GrothExpr":
@@ -168,22 +171,26 @@ def canonical_expr(terms: dict) -> GrothExpr:
     return GrothExpr((canonical_word(w), c) for w, c in terms.items())
 
 
-def jac_left(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
-    """Leibniz sum of left peels at rho||^x over all word factors."""
-    return canonical_expr(peel_terms(e.terms, rho, HalfInt.of(x).twice, True))
+def jac_left(rho: CuspidalLabel, t: int, e: GrothExpr) -> GrothExpr:
+    """Leibniz sum of left peels at rho||^(t/2), t doubled, over all word
+    factors."""
+    return canonical_expr(peel_terms(e.terms, rho, t, True))
 
 
-def jac_right(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
-    return canonical_expr(peel_terms(e.terms, rho, HalfInt.of(x).twice, False))
+def jac_right(rho: CuspidalLabel, t: int, e: GrothExpr) -> GrothExpr:
+    """Mirror of jac_left: right peels at rho||^(t/2), t doubled."""
+    return canonical_expr(peel_terms(e.terms, rho, t, False))
 
 
-def jac_theta(rho: CuspidalLabel, x: HalfInt, e: GrothExpr) -> GrothExpr:
-    """Two-sided peel: rho||^x from the left, then rho||^-x from the right."""
-    return canonical_expr(theta_terms(e.terms, rho, HalfInt.of(x).twice))
+def jac_theta(rho: CuspidalLabel, t: int, e: GrothExpr) -> GrothExpr:
+    """Two-sided peel, t doubled: rho||^(t/2) from the left, then
+    rho||^(-t/2) from the right."""
+    return canonical_expr(theta_terms(e.terms, rho, t))
 
 
 def jac_theta_seq(points, e: GrothExpr) -> GrothExpr:
-    """Apply jac_theta at (rho, x) pairs in list order (first entry first).
+    """Apply jac_theta at (rho, t) pairs, t doubled, in list order (first
+    entry first).
 
     The whole chain runs on positional terms, and only the returned words
     are canonicalized.
@@ -192,8 +199,8 @@ def jac_theta_seq(points, e: GrothExpr) -> GrothExpr:
     if not points or e.is_zero:
         return e
     terms = e.terms
-    for rho, x in points:
-        terms = theta_terms(terms, rho, HalfInt.of(x).twice)
+    for rho, t in points:
+        terms = theta_terms(terms, rho, t)
     return canonical_expr(terms)
 
 

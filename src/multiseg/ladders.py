@@ -13,20 +13,20 @@ module builds the ladders of a quad and peels them one point at a time.
 
 from __future__ import annotations
 
-from .core import HalfInt, Ladder, Multisegment, _half_str, _is_ladder
+from .core import Ladder, Multisegment, _half_str, _is_ladder
 from .params import Quad
 
 
 def ladder_multisegment(q: Quad) -> Ladder:
     """Tableau of the quad: rows [zeta(B+k) .. -zeta(A-k)] for k = 0..A-B."""
-    A, B, z = q.A.twice, q.B.twice, q.zeta
+    A, B, z = q.A, q.B, q.zeta
     rows = (((B + k) * z, -(A - k) * z) for k in range(0, A - B + 1, 2))
     return Ladder(q.rho, tuple(sorted(rows, reverse=True)))
 
 
 def tableau_cols(q: Quad) -> Multisegment:
     """Column reading of the quad's tableau, as an (unoriented) multisegment."""
-    A, B, z = q.A.twice, q.B.twice, q.zeta
+    A, B, z = q.A, q.B, q.zeta
     return Multisegment.from_rows((q.rho, (B - 2 * m) * z, (A - 2 * m) * z)
                                   for m in range((A + B) // 2 + 1))
 
@@ -55,31 +55,31 @@ def peel(t: int, lad: Ladder, left: bool) -> Ladder | None:
     return Ladder(lad.rho, out) if _is_ladder(out) else None
 
 
-def peel_left(x: HalfInt, lad: Ladder) -> Ladder | None:
-    """Drop the first element of the unique row starting at x; None if that
-    kills the ladder condition or no row starts at x."""
-    return peel(x.twice, lad, True)
+def peel_left(t: int, lad: Ladder) -> Ladder | None:
+    """Drop the first element of the unique row starting at t (t doubled);
+    None if that kills the ladder condition or no row starts at t."""
+    return peel(t, lad, True)
 
 
-def peel_right(x: HalfInt, lad: Ladder) -> Ladder | None:
-    """Mirror of peel_left: drop the last element of the unique row ending at x."""
-    return peel(x.twice, lad, False)
+def peel_right(t: int, lad: Ladder) -> Ladder | None:
+    """Mirror of peel_left: drop the last element of the unique row ending
+    at t (t doubled)."""
+    return peel(t, lad, False)
 
 
-def trunc_ladder(q: Quad, C: HalfInt) -> Ladder:
-    """Truncated tableau built on the base quad (A, B+2, zeta).
+def trunc_ladder(q: Quad, C: int) -> Ladder:
+    """Truncated tableau built on the base quad (A, B+2, zeta), C doubled.
 
     Realized operationally: starting from the full base tableau, peel
     zeta*x on the left and -zeta*x on the right for x = B+2, ..., C.
     C = B+1 returns the base tableau unchanged.
     """
-    C = HalfInt.of(C)
-    if q.A < q.B + 2:
+    if q.A < q.B + 4:
         raise ValueError(f"trunc_ladder needs A >= B+2, got {q}")
     if not (q.B < C <= q.A):
-        raise ValueError(f"C={C} outside ]B, A] for {q}")
-    z, lad = q.zeta, ladder_multisegment(Quad(q.rho, q.A, q.B + 2, q.zeta))
-    for t in range((q.B + 2).twice * z, C.twice * z + z, 2 * z):
+        raise ValueError(f"C={_half_str(C)} outside ]B, A] for {q}")
+    z, lad = q.zeta, ladder_multisegment(Quad(q.rho, q.A, q.B + 4, q.zeta))
+    for t in range((q.B + 4) * z, C * z + z, 2 * z):
         nxt = peel(t, lad, True)
         lad = None if nxt is None else peel(-t, nxt, False)
         if lad is None:

@@ -90,9 +90,14 @@ def parse_parameter_file(text: str) -> tuple[Parameter, dict[str, CuspidalLabel]
 
 
 def render_parameter_file(psi: Parameter) -> str:
-    """Deterministic text form; parse(render(psi)) reproduces psi."""
-    lines = []
+    """Deterministic text form; parse(render(psi)) reproduces psi.  A file
+    names each label once, so two labels that share a name raise ValueError."""
+    lines, names = [], set()
     for rho in psi.labels():
+        if rho.name in names:
+            raise ValueError(f"two labels share the name {rho.name!r}; "
+                             "a parameter file cannot tell them apart")
+        names.add(rho.name)
         eta = "?" if rho.eta is None else f"{rho.eta:+d}"
         lines.append(f"cuspidal {rho.name} d={rho.d} eta={eta} chi={rho.chi:+d}")
     # psi.blocks is in (name, a, b) order, and Counter keeps first-seen order

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .core import ZERO, CuspidalLabel, Frozen, HalfInt
+from .core import CuspidalLabel, Frozen, _half_str
 
 
 class JordanBlock(Frozen):
@@ -32,42 +32,41 @@ class JordanBlock(Frozen):
 class Quad(Frozen):
     """Quadruple recoding (rho, A, B, zeta): A=(a+b)/2-1, B=|a-b|/2, zeta=sign(a-b).
 
-    A quad with B=0 is normalized to zeta=+1 on construction (the two signs
-    give isomorphic data there).
+    A and B are stored doubled, as a+b-2 and |a-b|; str() and the errors
+    print them as half-integers.  A quad with B=0 is normalized to zeta=+1
+    (the two signs give isomorphic data there).
     """
 
     __slots__ = ("rho", "A", "B", "zeta")
 
-    def __init__(self, rho: CuspidalLabel, A: HalfInt, B: HalfInt, zeta: int):
+    def __init__(self, rho: CuspidalLabel, A: int, B: int, zeta: int):
         if zeta not in (1, -1):
             raise ValueError("zeta must be +1 or -1")
-        if B < ZERO or A < B:
-            raise ValueError(f"need A >= B >= 0, got A={A}, B={B}")
-        if not (A - B).is_integer:
+        if B < 0 or A < B:
+            raise ValueError(f"need A >= B >= 0, got A={_half_str(A)}, B={_half_str(B)}")
+        if (A - B) % 2:
             raise ValueError("A - B must be an integer")
         put = object.__setattr__
         put(self, "rho", rho)
         put(self, "A", A)
         put(self, "B", B)
-        put(self, "zeta", 1 if B == ZERO else zeta)
+        put(self, "zeta", 1 if B == 0 else zeta)
 
     def _astuple(self) -> tuple:
         return (self.rho, self.A, self.B, self.zeta)
 
     def __str__(self) -> str:
-        return f"({self.rho.name},A={self.A},B={self.B},{'+' if self.zeta == 1 else '-'})"
+        sign = "+" if self.zeta == 1 else "-"
+        return f"({self.rho.name},A={_half_str(self.A)},B={_half_str(self.B)},{sign})"
 
 
 def to_quad(bl: JordanBlock) -> Quad:
-    A = HalfInt(bl.a + bl.b - 2)
-    B = HalfInt(abs(bl.a - bl.b))
-    zeta = 1 if bl.a >= bl.b else -1
-    return Quad(bl.rho, A, B, zeta)
+    return Quad(bl.rho, bl.a + bl.b - 2, abs(bl.a - bl.b), 1 if bl.a >= bl.b else -1)
 
 
 def from_quad(q: Quad) -> JordanBlock:
-    hi = (q.A + q.B).twice // 2 + 1
-    lo = (q.A - q.B).twice // 2 + 1
+    hi = (q.A + q.B) // 2 + 1
+    lo = (q.A - q.B) // 2 + 1
     if q.zeta == 1:
         return JordanBlock(q.rho, hi, lo)
     return JordanBlock(q.rho, lo, hi)
@@ -77,7 +76,7 @@ def block_order_cmp(q: Quad, qp: Quad) -> int:
     """Total order on same-label, same-integrality quads: A, then B, then zeta=+."""
     if q.rho != qp.rho:
         raise ValueError(f"quads {q} and {qp} have different labels; incomparable")
-    if q.B.is_integer != qp.B.is_integer:
+    if q.B % 2 != qp.B % 2:
         raise ValueError(f"quads {q} and {qp} lie in different integrality families")
     k, kp = _quad_sort_key(q), _quad_sort_key(qp)
     return (k > kp) - (k < kp)
@@ -86,7 +85,7 @@ def block_order_cmp(q: Quad, qp: Quad) -> int:
 def _quad_sort_key(q: Quad):
     # Deterministic order across labels and integrality families; within one
     # family it is block_order_cmp (B = 0 forces zeta = +1).
-    return (q.rho.name, q.A.twice, q.B.twice, q.zeta)
+    return (q.rho.key, q.A, q.B, q.zeta)
 
 
 class Parameter:
@@ -99,21 +98,22 @@ class Parameter:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks=()):
-        blocks = tuple(sorted(blocks, key=lambda b: (b.rho.name, b.a, b.b)))
+        blocks = tuple(sorted(blocks, key=lambda b: (b.rho.key, b.a, b.b)))
         object.__setattr__(self, "blocks", blocks)
 
     def __setattr__(self, *a):
         raise AttributeError("Parameter is immutable")
+
+    def __reduce__(self):
+        return Parameter, (self.blocks,)
 
     @property
     def n(self) -> int:
         return sum(b.size for b in self.blocks)
 
     def labels(self) -> tuple[CuspidalLabel, ...]:
-        seen = {}
-        for b in self.blocks:
-            seen.setdefault(b.rho.name, b.rho)
-        return tuple(seen[k] for k in sorted(seen))
+        """Every distinct label, in key order."""
+        return tuple(dict.fromkeys(b.rho for b in self.blocks))
 
     def quads(self) -> tuple[Quad, ...]:
         return tuple(to_quad(b) for b in self.blocks)
@@ -154,19 +154,15 @@ def is_discrete(psi: Parameter) -> bool:
     return len(set(psi.blocks)) == len(psi.blocks)
 
 
-def _interval(q: Quad) -> tuple[int, int]:
-    return (q.B.twice, q.A.twice)
-
-
 def _disjoint(i1: tuple[int, int], i2: tuple[int, int]) -> bool:
     return i1[1] < i2[0] or i2[1] < i1[0]
 
 
 def is_discrete_diagonal(psi: Parameter) -> bool:
     """True iff all same-label, same-integrality [B,A] intervals are pairwise disjoint."""
-    fams: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    fams: dict[tuple, list[tuple[int, int]]] = {}
     for q in psi.quads():
-        fams.setdefault((q.rho.name, q.B.twice % 2), []).append(_interval(q))
+        fams.setdefault((q.rho.key, q.B % 2), []).append((q.B, q.A))
     for ivs in fams.values():
         ivs.sort()
         for i1, i2 in zip(ivs, ivs[1:]):
@@ -188,34 +184,35 @@ def dominate(psi: Parameter, rule: str = "minimal"):
 
     E lists, per label in increasing block order, the peel points: for D
     running down from Bt to B+1, the ordered elements of [zeta*D,
-    zeta*(D+A-B)].  Returns (psi_tilde, E) with E a tuple of (label, point).
+    zeta*(D+A-B)].  Returns (psi_tilde, E) with E a tuple of (label, t), each
+    point t doubled.
     """
     if rule not in ("minimal", "staircase"):
         raise ValueError(f"unknown domination rule {rule!r}")
     new_blocks = []
-    peel: list[tuple[CuspidalLabel, HalfInt]] = []
-    by_rho: dict[str, list[Quad]] = {}
+    peel: list[tuple[CuspidalLabel, int]] = []
+    by_rho: dict[tuple, list[Quad]] = {}
     for q in psi.quads():
-        by_rho.setdefault(q.rho.name, []).append(q)
-    for name in sorted(by_rho):
-        quads = sorted(by_rho[name], key=_quad_sort_key)
+        by_rho.setdefault(q.rho.key, []).append(q)
+    for key in sorted(by_rho):
+        quads = sorted(by_rho[key], key=_quad_sort_key)
         # in one family every base point is = B mod 2 and every width is even
         used: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
         for q in quads:
-            fam = q.B.twice % 2
-            width = (q.A - q.B).twice
-            cand = q.B.twice
+            fam = q.B % 2
+            width = q.A - q.B
+            cand = q.B
             if rule == "staircase":
-                top = max((e for _, e in used[fam]), default=q.B.twice - 2)
+                top = max((e for _, e in used[fam]), default=q.B - 2)
                 cand = max(cand, top + 8)
             if any(not _disjoint((cand, cand + width), iv) for iv in used[fam]):
                 top = max(e for _, e in used[fam])
                 cand = top + 2
             used[fam].append((cand, cand + width))
-            new_blocks.append(from_quad(Quad(q.rho, HalfInt(cand + width), HalfInt(cand), q.zeta)))
-            for d in range(cand, q.B.twice, -2):
+            new_blocks.append(from_quad(Quad(q.rho, cand + width, cand, q.zeta)))
+            for d in range(cand, q.B, -2):
                 for k in range(0, width + 1, 2):
-                    peel.append((q.rho, HalfInt((d + k) * q.zeta)))
+                    peel.append((q.rho, (d + k) * q.zeta))
     return Parameter(new_blocks), tuple(peel)
 
 
@@ -260,17 +257,18 @@ def in_Psi_H(psi: Parameter) -> bool:
     return chi_prod == 1
 
 
-def reducibility_point(phi: Parameter, rho: CuspidalLabel) -> HalfInt:
-    """The nonnegative reducibility point attached to a discrete tempered-coded phi."""
+def reducibility_point(phi: Parameter, rho: CuspidalLabel) -> int:
+    """The nonnegative reducibility point attached to a discrete tempered-coded
+    phi, doubled."""
     if any(b.b != 1 for b in phi):
         raise ValueError("phi must be tempered-coded (all b = 1)")
     if not is_discrete(phi):
         raise ValueError("phi must be multiplicity-free")
     ours = [b.a for b in phi if b.rho == rho]
     if ours:
-        return HalfInt(max(ours) + 1)
+        return max(ours) + 1
     if rho.eta is None:
         raise ValueError(f"label {rho.name}: parity unknown")
     if rho.eta == (-1) ** (phi.n + 1):
-        return HalfInt(1)
+        return 1
     raise ValueError("case not covered: no rho-blocks and eta has the wrong parity")

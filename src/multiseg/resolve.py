@@ -55,8 +55,8 @@ def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> dict:
     words as (<zB..-zC>, *w, <zC..-zB>), not canonicalized: the caller
     canonicalizes once, at its exit.  All the terms go into one sum.  The
     closing sub call comes last, which keeps the resolver's trace order."""
-    rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
-    inner = rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ())
+    rho, A, B, z = q.rho, q.A, q.B, q.zeta
+    inner = rest + ((Quad(rho, A, B + 4, z),) if A >= B + 4 else ())
     middle = sub(inner)
     pairs = []
     for C in range(B + 2, A + 1, 2):
@@ -65,7 +65,7 @@ def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> dict:
         left, right = Ladder(rho, ((B * z, -C * z),)), Ladder(rho, ((C * z, -B * z),))
         sign = (-1) ** ((A - C) // 2)
         pairs += [((left, *w, right), sign * c) for w, c in middle.items()]
-    closing = sub(rest + (Quad(rho, q.A, q.B + 1, z), Quad(rho, q.B, q.B, z)))
+    closing = sub(rest + (Quad(rho, A, B + 2, z), Quad(rho, B, B, z)))
     sign = (-1) ** (((A - B) // 2 + 1) // 2)
     pairs += [(w, sign * c) for w, c in closing.items()]
     return _sum(pairs)
@@ -114,9 +114,9 @@ def distinguished_word(psi: Parameter):
         q, rest = _leading(quads)
         if q is None:
             return _tableaux(quads)
-        if q.A >= q.B + 2:
-            rest.append(Quad(q.rho, q.A - 1, q.B + 1, q.zeta))
-        A, B = q.A.twice * q.zeta, q.B.twice * q.zeta
+        if q.A >= q.B + 4:
+            rest.append(Quad(q.rho, q.A - 2, q.B + 2, q.zeta))
+        A, B = q.A * q.zeta, q.B * q.zeta
         return (Ladder(q.rho, ((B, -A),)), *build(tuple(rest)), Ladder(q.rho, ((A, -B),)))
 
     return canonical_word(build(psi.quads()))
@@ -128,7 +128,7 @@ MAX_DEPTH = 24
 def _check_depth(psi: Parameter) -> None:
     """Refuse a depth Sum(A-B) past MAX_DEPTH: each nested expansion at least
     doubles the words, so 25 of them give 2^25 words and over an hour of work."""
-    depth = sum(q.A.twice - q.B.twice for q in psi.quads()) // 2
+    depth = sum(q.A - q.B for q in psi.quads()) // 2
     if depth > MAX_DEPTH:
         raise ValueError(f"resolution too deep: Sum(A-B) = {depth} nested expansions "
                          f"exceed the limit of {MAX_DEPTH}")
@@ -151,7 +151,7 @@ def resolve_param(psi: Parameter, block_choice: str = "largest") -> Resolution:
             ordered = sorted(quads, key=_quad_sort_key)
             trace.append({"case": "elementary", "blocks": [str(b) for b in ordered]})
             return _elementary_word(quads)
-        trace.append({"case": "A=B+1" if q.A == q.B + 1 else "A>B+1", "block": str(q)})
+        trace.append({"case": "A=B+1" if q.A == q.B + 2 else "A>B+1", "block": str(q)})
         return _expand(q, tuple(rest), resolve)
 
     return Resolution(psi, canonical_expr(resolve(psi.quads())), trace)
@@ -165,7 +165,7 @@ def resolve_general(psi: Parameter, rule: str = "minimal") -> Resolution:
     res = resolve_param(psi_t)
     expr = jac_theta_seq(peel, res.expr)
     trace = [{"case": "dominate", "rule": rule, "psi_tilde": str(psi_t),
-              "peel": [[rho.name, str(x)] for rho, x in peel]}] + res.trace
+              "peel": [[rho.name, _half_str(t)] for rho, t in peel]}] + res.trace
     return Resolution(psi, expr, trace)
 
 
@@ -184,7 +184,7 @@ def verify_cancellation(psi: Parameter) -> dict:
     q, _ = _leading(quads)
     if q is None:
         raise ValueError("nothing to verify: all blocks are elementary")
-    rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
+    rho, A, B, z = q.rho, q.A, q.B, q.zeta
     single = len(quads) == 1
     cs = range(B + 4, A + 1, 2)
     if single:

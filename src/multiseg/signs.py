@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .core import ZERO, CuspidalLabel, IdentityError
+from .core import CuspidalLabel, IdentityError
 from .params import Parameter, _j_le_d, imp_variants, is_elementary, to_quad
 
 
@@ -34,15 +34,15 @@ def z_sets(psi: Parameter):
                 continue
             q1, q2 = to_quad(b1), to_quad(b2)
             s = q1.B * q1.zeta + q2.B * q2.zeta
-            if s < ZERO:
+            if s < 0:
                 which = "W"
-            elif s > ZERO:
+            elif s > 0:
                 which = "U"
-            elif q1.B == ZERO and q2.B == ZERO:
+            elif q1.B == 0 and q2.B == 0:
                 which = "U"
             else:
                 # s = 0 with B = B' != 0 forces zeta*zeta' = -1
-                which = "W" if (q1.A - q2.A) * q1.zeta < ZERO else "U"
+                which = "W" if (q1.A - q2.A) * q1.zeta < 0 else "U"
             Z.append((i, j))
             (ZW if which == "W" else ZU).append((i, j))
     return tuple(Z), tuple(ZW), tuple(ZU)

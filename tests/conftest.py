@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock, Multisegment, Parameter,
-                      Segment)
+from multiseg import CuspidalLabel, GrothExpr, JordanBlock, Ladder, Multisegment, Parameter
 from multiseg.groth import canonical_word
 from multiseg.ladders import peel
 
@@ -48,9 +47,7 @@ def random_multisegment(rng: random.Random, rho, max_segments=20, span=6):
         s = rng.randint(-span, span)
         e = rng.randint(-span, span)
         off = 1 if half else 0
-        segs.append(
-            Segment(rho, HalfInt(2 * s + off), HalfInt(2 * e + off))
-        )
+        segs.append(Ladder(rho, ((2 * s + off, 2 * e + off),)))
     return Multisegment(segs)
 
 
@@ -60,14 +57,13 @@ def signed_sum(*terms):
     return GrothExpr((canonical_word(atoms), c) for c, *atoms in terms)
 
 
-def reference_jac(left, rho, x, e):
+def reference_jac(left, rho, t, e):
     """Reference one-point peel, independent of the positional loop in
-    multiseg.groth: the Leibniz sum of one-sided peels at rho||^x over the
-    factors of each canonical word, canonicalizing every word it makes.
-    Each distinct atom is peeled once per call; e's words keep every atom
-    alive until the call returns, so id() is a sound key.  An emptied atom
-    has size 0, and canonical_word drops it."""
-    x = HalfInt.of(x)
+    multiseg.groth: the Leibniz sum of one-sided peels at rho||^(t/2), t
+    doubled, over the factors of each canonical word, canonicalizing every
+    word it makes.  Each distinct atom is peeled once per call; e's words
+    keep every atom alive until the call returns, so id() is a sound key.
+    An emptied atom has size 0, and canonical_word drops it."""
     peels = {}
 
     def peeled():
@@ -77,7 +73,7 @@ def reference_jac(left, rho, x, e):
                     continue
                 key = id(atom)
                 if key not in peels:
-                    peels[key] = peel(x.twice, atom, left)
+                    peels[key] = peel(t, atom, left)
                 new = peels[key]
                 if new is not None:
                     yield canonical_word(word[:i] + (new,) + word[i + 1:]), c
@@ -85,17 +81,16 @@ def reference_jac(left, rho, x, e):
     return GrothExpr(peeled())
 
 
-def reference_jac_theta(rho, x, e):
-    """Reference two-sided peel: reference_jac at x from the left, then at
-    -x from the right.  Looks reference_jac up at call time, so a test can
-    count its calls by patching this module."""
-    x = HalfInt.of(x)
-    return reference_jac(False, rho, -x, reference_jac(True, rho, x, e))
+def reference_jac_theta(rho, t, e):
+    """Reference two-sided peel, t doubled: reference_jac at t from the left,
+    then at -t from the right.  Looks reference_jac up at call time, so a
+    test can count its calls by patching this module."""
+    return reference_jac(False, rho, -t, reference_jac(True, rho, t, e))
 
 
 def iterated_jac_theta(points, e):
     """Reference for jac_theta_seq: one reference_jac_theta per point, each
     of which canonicalizes every word it makes."""
-    for rho, x in points:
-        e = reference_jac_theta(rho, x, e)
+    for rho, t in points:
+        e = reference_jac_theta(rho, t, e)
     return e

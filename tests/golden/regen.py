@@ -21,7 +21,7 @@ import json
 import os
 from pathlib import Path
 
-from multiseg import CuspidalLabel, HalfInt, Quad, resolve_block
+from multiseg import CuspidalLabel, Quad, resolve_block
 from multiseg.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -67,7 +67,7 @@ def run(argv):
 
 
 def resolve_block_pin():
-    expr = resolve_block(Quad(CuspidalLabel("rho"), HalfInt(6), HalfInt(0), 1))
+    expr = resolve_block(Quad(CuspidalLabel("rho"), 6, 0, 1))
     return str(expr) + "\n", json.dumps(expr.to_json(), indent=2) + "\n"
 
 

@@ -7,7 +7,7 @@ tests/test_acceptance.py` to see the summary table.
 import random
 import time
 
-from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Parameter, Quad,
+from multiseg import (CuspidalLabel, JordanBlock, Parameter, Quad,
                       beta_closed_form, beta_sign, distinguished_word,
                       eps_char, eval_at_c2, eval_at_z, gl_multisegment,
                       ladder_multisegment, mw_dual, resolve_block,
@@ -38,7 +38,7 @@ def single_block_quads(max_A_twice=8):
             for zeta in (1, -1):
                 if B2 == 0 and zeta == -1:
                     continue
-                out.append(Quad(RHO, HalfInt(A2), HalfInt(B2), zeta))
+                out.append(Quad(RHO, A2, B2, zeta))
     return out
 
 
@@ -88,7 +88,7 @@ def test_criterion_4_cancellation_suite():
 def test_criterion_5_two_term_closed_form():
     count = 0
     for q in single_block_quads():
-        if q.A != q.B + HalfInt.of(1):
+        if q.A != q.B + 2:  # doubled: A = B+1
             continue
         count += 1
         expr = resolve_block(q)
@@ -103,7 +103,7 @@ def test_criterion_6_worked_example():
     from multiseg import dominate
     tilde, peel = dominate(psi)
     assert tilde == Parameter([JordanBlock(RHO, 4, 1), JordanBlock(RHO, 1, 2)])
-    assert peel == ((RHO, HalfInt.parse("3/2")),)
+    assert peel == ((RHO, 3),)  # the point 3/2, doubled
     res = resolve_general(psi)
     assert res.expr.terms.get(distinguished_word(psi)) == 1
     print("CRITERION 6 PASS  worked four-dimensional example: domination, "

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import multiseg
-from multiseg import (CuspidalLabel, GrothExpr, HalfInt, Ladder, Quad,
+from multiseg import (CuspidalLabel, GrothExpr, Ladder, Quad,
                       parse_parameter_file, render_parameter_file,
                       resolve_block)
 from multiseg import core
@@ -248,6 +248,12 @@ class TestErrorPaths:
         assert self._run(["jacquet", guide_path, "--rho", "nope", "--x", "1"],
                          capsys) == (1, "error: unknown cuspidal 'nope'\n")
 
+    def test_jacquet_point_is_stripped(self, guide_path, capsys):
+        assert self._run(["jacquet", guide_path, "--rho", "rho", "--x", " 3/4 "],
+                         capsys) == (1, "error: not a half-integer: '3/4'\n")
+        assert main(["jacquet", guide_path, "--rho", "rho", "--x", " 1/2 "]) == 0
+        assert capsys.readouterr().out.startswith("jac_left(1/2) = ")
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_complex_check_n_below_1(self, n, capsys):
         assert self._run(["complex-check", "--n", n], capsys) == (
@@ -424,7 +430,7 @@ class TestJsonRendererOracle:
 
     @pytest.mark.parametrize("A2, B2, zeta", [(6, 0, 1), (5, 1, -1), (8, 2, 1)])
     def test_ladder_atoms_of_resolve_block(self, A2, B2, zeta):
-        expr = resolve_block(Quad(_LABELS[0], HalfInt(A2), HalfInt(B2), zeta))
+        expr = resolve_block(Quad(_LABELS[0], A2, B2, zeta))
         assert any(len(a.rows) > 1 for w in expr.terms for a in w)
         self._check(expr)
         self._check(GrothExpr((w, -2 * c) for w, c in expr.terms.items()))

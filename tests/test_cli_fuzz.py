@@ -152,8 +152,8 @@ def test_exit_codes_and_streams(workdir, text, argv):
                                   ["resolve", "--rule=--", "FILE"]], ids=str)
 def test_double_dash_value(argv, workdir):
     """Before Python 3.13 argparse reads `--x=--` as an empty list, which
-    reached HalfInt.parse, a comparison and a dict lookup and ended in a
-    traceback.  On every version it is an input error."""
+    reached the half-integer parser, a comparison and a dict lookup and
+    ended in a traceback.  On every version it is an input error."""
     path = workdir / "worked.txt"
     path.write_text("cuspidal rho\nblock rho 2 2\n", encoding="utf-8")
     code, out, err = _run([str(path) if a == "FILE" else a for a in argv])

@@ -75,7 +75,7 @@ def involutions(k):
 def block_terms(q):
     """(sign, u, atoms) for each live involution u of the block q, atoms[i]
     being the segment of row i, or None when the row is empty."""
-    rho, A2, B2, zeta = q.rho, q.A.twice, q.B.twice, q.zeta
+    rho, A2, B2, zeta = q.rho, q.A, q.B, q.zeta
     k = (A2 - B2) // 2 + 1
     terms = []
     for u in involutions(k):
@@ -95,7 +95,7 @@ def block_terms(q):
 def nested_word(quads, terms, pick):
     """The word of one term, one (u, atoms) per quad, by the nesting rule;
     pick (max or min) opens the blocks by the key (name, A2, B2, zeta)."""
-    blocks = [([q.rho.name, q.A.twice, q.B.twice, q.zeta], u, atoms, list(range(len(u))))
+    blocks = [([q.rho.name, q.A, q.B, q.zeta], u, atoms, list(range(len(u))))
               for q, (u, atoms) in zip(quads, terms)]
     lefts, rights, bottom = [], [], []
     while True:
@@ -152,7 +152,7 @@ def discrete_diagonal(labels, n_max):
 def at_least_doubled(quads, expr):
     """Each of the Sum(A-B) nested expansions at least doubles the words,
     which is why resolve.MAX_DEPTH bounds the cost of a resolution."""
-    depth = sum(q.A.twice - q.B.twice for q in quads) // 2
+    depth = sum(q.A - q.B for q in quads) // 2
     return len(expr.terms) >= 2 ** depth
 
 

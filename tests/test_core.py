@@ -4,12 +4,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Ladder, Multisegment,
-                      Segment, ladder_multisegment, mw_dual,
+from multiseg import (CuspidalLabel, JordanBlock, Ladder, Multisegment,
+                      ladder_multisegment, mw_dual,
                       gl_multisegment, parse_multisegment, support,
                       tableau_cols, to_quad)
 from multiseg import core
-from multiseg.core import _dual_one_family
+from multiseg.core import _dual_one_family, _half_str, _twice
 
 from conftest import random_multisegment
 
@@ -17,7 +17,7 @@ RHO = CuspidalLabel("rho")
 
 
 def seg(start, end, rho=RHO):
-    return Segment(rho, HalfInt.parse(str(start)), HalfInt.parse(str(end)))
+    return Ladder(rho, ((_twice(str(start)), _twice(str(end))),))
 
 
 def ms(*pairs):
@@ -25,41 +25,40 @@ def ms(*pairs):
 
 
 class TestHalfInt:
-    def test_parse_and_str(self):
-        assert str(HalfInt.parse("3/2")) == "3/2"
-        assert str(HalfInt.parse("-1/2")) == "-1/2"
-        assert str(HalfInt.parse("2")) == "2"
-        assert HalfInt.parse("-3") == HalfInt(-6)
+    """The text of a half-integer x: `_twice` reads it as the int 2x and
+    `_half_str` writes 2x back as `n` or `n/2`."""
 
-    def test_arithmetic_is_exact(self):
-        x = HalfInt.parse("3/2")
-        assert x - HalfInt.parse("1/2") == HalfInt.of(1)
-        assert (x - HalfInt.parse("1/2")).is_integer
-        assert -x == HalfInt(-3)
-        assert x * -1 == HalfInt(-3)
+    def test_parse_and_str(self):
+        assert _twice("3/2") == 3 and _half_str(3) == "3/2"
+        assert _twice("-1/2") == -1 and _half_str(-1) == "-1/2"
+        assert _twice("2") == 4 and _half_str(4) == "2"
+        assert _twice("-3") == -6 and _half_str(-6) == "-3"
 
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
-            HalfInt.parse("3/4")
+            _twice("3/4")
 
     def test_error_names_the_text(self):
         with pytest.raises(ValueError) as exc:
-            HalfInt.parse(" 3/4 ")
+            _twice("3/4")
         assert str(exc.value) == "not a half-integer: '3/4'"
+
+    @given(st.integers(-10**6, 10**6))
+    def test_round_trip(self, t):
+        assert _twice(_half_str(t)) == t
 
 
 class TestSegmentElements:
     def test_descending(self):
         assert support(Multisegment([seg(2, 0)])) == {
-            (RHO, HalfInt.of(2)): 1, (RHO, HalfInt.of(1)): 1, (RHO, HalfInt.of(0)): 1}
+            (RHO, 4): 1, (RHO, 2): 1, (RHO, 0): 1}
 
     def test_ascending(self):
         assert support(Multisegment([seg("-1/2", "3/2")])) == {
-            (RHO, HalfInt.parse("-1/2")): 1, (RHO, HalfInt.parse("1/2")): 1,
-            (RHO, HalfInt.parse("3/2")): 1}
+            (RHO, -1): 1, (RHO, 1): 1, (RHO, 3): 1}
 
     def test_singleton(self):
-        assert support(Multisegment([seg(1, 1)])) == {(RHO, HalfInt.of(1)): 1}
+        assert support(Multisegment([seg(1, 1)])) == {(RHO, 2): 1}
 
     def test_mixed_coset_rejected(self):
         with pytest.raises(ValueError):
@@ -67,11 +66,11 @@ class TestSegmentElements:
 
 
 class TestOneRowType:
-    """A segment is the one-row ladder; both constructors check the parity
-    of every row, once, when the value is first built."""
+    """A segment is the one-row ladder; the constructor and the text parser
+    check the parity of every row, once, before a value is built."""
 
     @pytest.mark.parametrize("build", [
-        lambda: Segment(RHO, HalfInt(1), HalfInt(0)),
+        lambda: parse_multisegment("{[1/2..0]rho}"),
         lambda: Ladder(RHO, ((1, 0),)),
         lambda: Ladder(RHO, ((4, 2), (1, 0))),
         lambda: Ladder(RHO, ((1, 0), (4, 2))),
@@ -83,10 +82,10 @@ class TestOneRowType:
         assert not [key for key in core._interned.keys() if (1, 0) in key[-1]]
 
     def test_segment_is_the_one_row_ladder(self):
-        s = Segment(RHO, HalfInt(4), HalfInt(0))
+        s = seg(2, 0)
         assert s is Ladder(RHO, ((4, 0),))
         assert (s.rows, s.size) == (((4, 0),), 3)
-        assert Segment(CuspidalLabel("tau", 2), HalfInt(-1), HalfInt(3)).size == 6
+        assert seg("-1/2", "3/2", CuspidalLabel("tau", 2)).size == 6
 
     def test_multisegment_reads_every_row(self):
         word = (Ladder(RHO, ((6, -4), (4, -6))), seg(0, 2), Ladder(RHO, ((3, -1), (1, -3))),
@@ -100,16 +99,15 @@ class TestOneRowType:
 class TestSupport:
     def test_steinberg(self):
         sup = support(ms((2, 0)))
-        assert sup == {(RHO, HalfInt.of(2)): 1, (RHO, HalfInt.of(1)): 1,
-                       (RHO, HalfInt.of(0)): 1}
+        assert sup == {(RHO, 4): 1, (RHO, 2): 1, (RHO, 0): 1}
 
     def test_empty(self):
         assert support(Multisegment()) == {}
 
     def test_multiplicity_kept(self):
         sup = support(ms((1, 0), (0, 0)))
-        assert sup[(RHO, HalfInt.of(0))] == 2
-        assert sup[(RHO, HalfInt.of(1))] == 1
+        assert sup[(RHO, 0)] == 2
+        assert sup[(RHO, 2)] == 1
 
 
 class TestMultisegmentCanonical:
@@ -184,16 +182,17 @@ class TestRowConstructor:
     @given(_raw_rows())
     @example([])
     def test_rows_and_segments_agree(self, rows):
-        segs = [Segment(rho, HalfInt(s), HalfInt(e)) for rho, s, e in rows]
+        segs = [Ladder(rho, ((s, e),)) for rho, s, e in rows]
         by_segs = Multisegment(segs)
         by_rows = Multisegment.from_rows(rows)
         assert by_rows == by_segs
         assert hash(by_rows) == hash(by_segs)
         assert str(by_rows) == str(by_segs)
         assert len(by_rows) == len(by_segs) == len(rows)
-        # canonical order, derived from Segment alone: descending, then a
-        # stable sort by (label, start descending, end descending)
-        canonical = tuple(sorted((Segment(s.rho, HalfInt(max(s.rows[0])), HalfInt(min(s.rows[0])))
+        # canonical order, derived from the one-row ladders alone:
+        # descending, then a stable sort by (label, start descending, end
+        # descending)
+        canonical = tuple(sorted((Ladder(s.rho, ((max(s.rows[0]), min(s.rows[0])),))
                                   for s in segs),
                                  key=lambda s: (s.rho.name, -s.rows[0][0], -s.rows[0][1])))
         assert by_rows.segments == canonical
@@ -277,7 +276,7 @@ class TestDual:
                               st.booleans()), max_size=8))
     def test_involution_and_support_property(self, raw):
         segs = [
-            Segment(RHO, HalfInt(2 * s + off), HalfInt(2 * e + off))
+            Ladder(RHO, ((2 * s + off, 2 * e + off),))
             for s, e, half in raw
             for off in [1 if half else 0]
         ]
@@ -296,7 +295,7 @@ class TestDual:
             return Multisegment(Ladder(s.rho, ((-s.rows[0][0], -s.rows[0][1]),)) for s in m)
 
         m = Multisegment(
-            Segment(CuspidalLabel(name), HalfInt(2 * s + half), HalfInt(2 * e + half))
+            Ladder(CuspidalLabel(name), ((2 * s + half, 2 * e + half),))
             for name, s, e, half in raw
         )
         assert mw_dual(reflect(m)) == reflect(mw_dual(m))
@@ -321,7 +320,7 @@ class TestDual:
 
 
 def seg_twice(s, e, rho=RHO):
-    return Segment(rho, HalfInt(s), HalfInt(e))
+    return Ladder(rho, ((s, e),))
 
 
 def _scan_dual_one_family(segs: list[list[int]]) -> list[tuple[int, int]]:
@@ -361,7 +360,7 @@ def _scan_dual(m: Multisegment) -> Multisegment:
         a, b = s.rows[0]
         families.setdefault((s.rho, a % 2), []).append([a, b])
     return Multisegment(
-        Segment(rho, HalfInt(a), HalfInt(b))
+        Ladder(rho, ((a, b),))
         for (rho, _), rows in families.items()
         for a, b in _scan_dual_one_family(rows)
     )
@@ -399,6 +398,6 @@ class TestDualWalkAgainstScan:
             s, e = 2 * top + off, 2 * (top - rng.randint(0, maxlen)) + off
             if rng.random() < 0.5:
                 s, e = e, s
-            segs.append(Segment(rng.choice(labels), HalfInt(s), HalfInt(e)))
+            segs.append(Ladder(rng.choice(labels), ((s, e),)))
         m = Multisegment(segs)
         assert mw_dual(m) == _scan_dual(m)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from multiseg import CuspidalLabel, HalfInt, Quad, resolve_block
+from multiseg import CuspidalLabel, Quad, resolve_block
 from multiseg.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -26,7 +26,7 @@ def test_cli_output_matches_golden(case, monkeypatch, capsys):
 
 
 def test_resolve_block_with_ladder_atoms_matches_golden():
-    expr = resolve_block(Quad(CuspidalLabel("rho"), HalfInt(6), HalfInt(0), 1))
+    expr = resolve_block(Quad(CuspidalLabel("rho"), 6, 0, 1))
     text = str(expr)
     assert text.startswith("+[0..-3]rho*L([2..-1],[1..-2])rho*[3..0]rho")
     assert text + "\n" == (GOLDEN / "resolve_block_3_0.str").read_text(encoding="utf-8")

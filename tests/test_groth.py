@@ -2,17 +2,20 @@ import random
 from collections import Counter
 from heapq import heapify, heappop, heappush
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock, Ladder,
-                      Parameter, Segment, gl_multisegment,
-                      induce, jac_left, jac_right, jac_theta, jac_theta_seq,
-                      ladder_multisegment, parse_multisegment,
-                      resolve_general, total_size)
-from multiseg.core import Multisegment
+from multiseg import (CuspidalLabel, GrothExpr, JordanBlock, Ladder,
+                      Parameter, dominate, gl_multisegment,
+                      induce, is_discrete_diagonal, jac_left, jac_right, jac_theta,
+                      jac_theta_seq, ladder_multisegment, parse_multisegment,
+                      render_parameter_file, resolve_general, resolve_param,
+                      total_size)
+from multiseg.core import Multisegment, _twice
 from multiseg.groth import (_commute, canonical_word, commutative_image, peel_terms,
                             theta_terms)
+from multiseg.params import _quad_sort_key
 
 from conftest import iterated_jac_theta, reference_jac, reference_jac_theta, signed_sum
 
@@ -21,11 +24,12 @@ D2 = CuspidalLabel("tau", 2)
 
 
 def hi(x):
-    return HalfInt.parse(str(x))
+    """The point x, written as text or an int, doubled."""
+    return _twice(str(x))
 
 
 def atom(s, e, rho=R):
-    return Segment(rho, hi(s), hi(e))
+    return Ladder(rho, ((hi(s), hi(e)),))
 
 
 def word(*atoms):
@@ -312,13 +316,44 @@ class TestLabelsSharingAName:
         assert one.sorted_terms() == two.sorted_terms()
         assert str(one) == str(two) == "-[1..0]rho +[1..0]rho"
 
+    def _psi(self):
+        """One (3,1) block on each of the two labels named rho."""
+        return Parameter([JordanBlock(self.RHO_D2, 3, 1), JordanBlock(self.RHO_D1, 3, 1)])
+
+    def test_blocks_sort_and_label_by_key(self):
+        psi = self._psi()
+        assert [b.rho for b in psi.blocks] == [self.RHO_D1, self.RHO_D2]
+        assert psi.labels() == (self.RHO_D1, self.RHO_D2)
+        q1, q2 = psi.quads()
+        assert _quad_sort_key(q1) < _quad_sort_key(q2)
+
+    def test_blocks_are_discrete_diagonal_and_resolve(self):
+        psi = self._psi()
+        assert is_discrete_diagonal(psi)
+        want = word(atom(1, -1, self.RHO_D1), atom(1, -1, self.RHO_D2))
+        assert resolve_param(psi).expr == want
+        assert resolve_general(psi).expr == want
+
+    def test_dominate_keeps_the_families_apart(self):
+        psi = self._psi()
+        assert dominate(psi) == (psi, ())
+        # the staircase shifts every block, each label's as if it were alone
+        alone = [dominate(Parameter([b]), "staircase") for b in psi.blocks]
+        assert all(peel for _, peel in alone)
+        assert dominate(psi, "staircase") == (
+            Parameter(b for tilde, _ in alone for b in tilde.blocks),
+            tuple(p for _, peel in alone for p in peel))
+
+    def test_parameter_file_refuses_them(self):
+        with pytest.raises(ValueError, match="two labels share the name 'rho'"):
+            render_parameter_file(self._psi())
+
 
 def _random_atom(rng: random.Random):
     rho = rng.choice([R, D2])
     off = rng.randint(0, 1)
     if rng.random() < 0.5:
-        return Segment(rho, HalfInt(2 * rng.randint(-3, 3) + off),
-                           HalfInt(2 * rng.randint(-3, 3) + off))
+        return Ladder(rho, ((2 * rng.randint(-3, 3) + off, 2 * rng.randint(-3, 3) + off),))
     k = rng.randint(2, 3)
     starts = sorted(rng.sample(range(-4, 5), k), reverse=True)
     ends = sorted(rng.sample(range(-4, 5), k), reverse=True)
@@ -332,7 +367,7 @@ def _points(j):
     rows = j["rows"] if "rows" in j else [[j["start"], j["end"]]]
     out = set()
     for s, e in rows:
-        s, e = HalfInt.parse(s).twice, HalfInt.parse(e).twice
+        s, e = _twice(s), _twice(e)
         out.update(range(min(s, e), max(s, e) + 1, 2))
     return j["rho"], out
 
@@ -377,8 +412,7 @@ class TestJacquet:
         for _ in range(50):
             e = _random_expr(rng)
             for t in range(-6, 7):
-                x = HalfInt(t)
-                for out, drop in ((jac_left(R, x, e), 1), (jac_theta(R, x, e), 2)):
+                for out, drop in ((jac_left(R, t, e), 1), (jac_theta(R, t, e), 2)):
                     for w in out.terms:
                         assert total_size(w) % 1 == 0
                         # every surviving term lost exactly `drop` points
@@ -402,7 +436,7 @@ class TestJacquet:
             return
         rng = random.Random(data.draw(st.integers(0, 10**6)))
         e = _random_expr(rng)
-        x, y = HalfInt(2 * xt), HalfInt(2 * yt)
+        x, y = 2 * xt, 2 * yt
         assert jac_left(R, x, jac_left(R, y, e)) == jac_left(R, y, jac_left(R, x, e))
         assert jac_theta(R, x, jac_theta(R, y, e)) == jac_theta(R, y, jac_theta(R, x, e))
 
@@ -463,9 +497,9 @@ def _random_ladder(rng: random.Random):
     A2 = B2 + 2 * rng.randint(0, 4)
     if B2 == 0 and zeta == -1:
         zeta = 1
-    q = Quad(R, HalfInt(A2), HalfInt(B2), zeta)
+    q = Quad(R, A2, B2, zeta)
     if A2 >= B2 + 4 and rng.random() < 0.6:
-        return trunc_ladder(q, HalfInt(rng.randrange(B2 + 2, A2 + 1, 2)))
+        return trunc_ladder(q, rng.randrange(B2 + 2, A2 + 1, 2))
     return ladder_multisegment(q)
 
 
@@ -479,10 +513,9 @@ class TestJacquetMatchesLadderPeel:
         rng = random.Random(seed)
         L = _random_ladder(rng)
         for t in range(-12, 13):
-            x = HalfInt(t)
             for jac, peel in ((jac_left, peel_left), (jac_right, peel_right)):
-                got = jac(R, x, word(L))
-                peeled = peel(x, L)
+                got = jac(R, t, word(L))
+                peeled = peel(t, L)
                 want = GrothExpr() if peeled is None else word(peeled)
                 assert got == want, (str(L), t, jac.__name__)
 
@@ -505,7 +538,7 @@ def _chains(draw):
     e = GrothExpr((canonical_word(w), draw(st.sampled_from([1, -1, 2]))) for w in words)
     cur, points = e, []
     for _ in range(draw(st.integers(2, 6))):
-        starts = {(a.rho, HalfInt(s)) for w in cur.terms for a in w for s, _ in a.rows}
+        starts = {(a.rho, s) for w in cur.terms for a in w for s, _ in a.rows}
         live = sorted((p for p in starts if not jac_theta(*p, cur).is_zero),
                       key=lambda p: (p[0].name, p[1]))
         if not live:
@@ -513,7 +546,7 @@ def _chains(draw):
         if draw(st.integers(0, 5)):
             p = draw(st.sampled_from(live))
         else:
-            p = (draw(st.sampled_from([R, D2])), HalfInt(draw(st.integers(-9, 9))))
+            p = (draw(st.sampled_from([R, D2])), draw(st.integers(-9, 9)))
         points.append(p)
         cur = jac_theta(*p, cur)
     return e, points
@@ -594,7 +627,7 @@ class TestThetaSeqChain:
 
 @st.composite
 def _peel_cases(draw):
-    """A random expression, possibly zero, and a point (rho, x): an end of
+    """A random expression, possibly zero, and a point (rho, t), t doubled: an end of
     one of its rows, or one time in four any point.  Atoms are drawn from
     short segments (which a peel empties), theta segments and ladders."""
     short = st.builds(lambda s, rho: Ladder(rho, ((s, s),)),
@@ -608,7 +641,7 @@ def _peel_cases(draw):
         rho = R if name == R.name else D2
     else:
         rho, t = draw(st.sampled_from([R, D2])), draw(st.integers(-9, 9))
-    return e, rho, HalfInt(t)
+    return e, rho, t
 
 
 # [1..1] and [-1..-1] are emptied at x = 1: by the left peel, the right
@@ -634,23 +667,22 @@ class TestOnePointPeelsAgainstReference:
     @example(_HELD)
     @example(_CANCELLING)
     def test_random_expressions(self, case):
-        e, rho, x = case
-        assert jac_left(rho, x, e) == reference_jac(True, rho, x, e)
-        assert jac_right(rho, x, e) == reference_jac(False, rho, x, e)
-        assert jac_theta(rho, x, e) == reference_jac_theta(rho, x, e)
+        e, rho, t = case
+        assert jac_left(rho, t, e) == reference_jac(True, rho, t, e)
+        assert jac_right(rho, t, e) == reference_jac(False, rho, t, e)
+        assert jac_theta(rho, t, e) == reference_jac_theta(rho, t, e)
 
     def test_examples_reach_their_edge(self):
-        e, rho, x = _EMPTIED
-        t = x.twice
+        e, rho, t = _EMPTIED
         for peeled in (peel_terms(e.terms, rho, t, True), peel_terms(e.terms, rho, t, False),
                        theta_terms(e.terms, rho, t)):
             assert any(not a.rows for w in peeled for a in w)
-        assert jac_theta(rho, x, e) == word(atom(5, 5))
-        e, rho, x = _HELD
+        assert jac_theta(rho, t, e) == word(atom(5, 5))
+        e, rho, t = _HELD
         held = atom(1, -2)
         assert any(held in w for w in e.terms)
-        assert any(held in w for w in peel_terms(e.terms, rho, x.twice, True))
-        assert not jac_theta(rho, x, e).is_zero
-        e, rho, x = _CANCELLING
-        assert len(peel_terms(e.terms, rho, x.twice, True)) == 2
-        assert jac_left(rho, x, e).is_zero
+        assert any(held in w for w in peel_terms(e.terms, rho, t, True))
+        assert not jac_theta(rho, t, e).is_zero
+        e, rho, t = _CANCELLING
+        assert len(peel_terms(e.terms, rho, t, True)) == 2
+        assert jac_left(rho, t, e).is_zero

@@ -5,17 +5,18 @@ from itertools import combinations
 
 import pytest
 
-from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Ladder,
-                      Multisegment, Quad, Segment, ladder_multisegment,
-                      peel_left, peel_right, tableau_cols, to_quad,
-                      trunc_ladder)
+from multiseg import (CuspidalLabel, JordanBlock, Ladder, Multisegment, Quad,
+                      ladder_multisegment, peel_left, peel_right, tableau_cols,
+                      to_quad, trunc_ladder)
+from multiseg.core import _twice
 from multiseg.ladders import _is_ladder, peel
 
 R = CuspidalLabel("rho")
 
 
 def hi(x):
-    return HalfInt.parse(str(x))
+    """The point x, written as text or an int, doubled."""
+    return _twice(str(x))
 
 
 def quad(A, B, zeta=1):
@@ -23,7 +24,7 @@ def quad(A, B, zeta=1):
 
 
 def seg(s, e):
-    return Segment(R, hi(s), hi(e))
+    return Ladder(R, ((hi(s), hi(e)),))
 
 
 def _points(segment):
@@ -34,7 +35,7 @@ def _points(segment):
 
 def lad(*pairs):
     """Ladder of (start, end) rows given in ladder order (descending start)."""
-    return Ladder(R, tuple((hi(s).twice, hi(e).twice) for s, e in pairs))
+    return Ladder(R, tuple((hi(s), hi(e)) for s, e in pairs))
 
 
 class TestLadderMultisegment:
@@ -63,9 +64,9 @@ class TestLadderMultisegment:
             for b in range(1, 6):
                 q = to_quad(JordanBlock(R, a, b))
                 L = ladder_multisegment(q)
-                assert len(L.rows) == (q.A - q.B).twice // 2 + 1
+                assert len(L.rows) == (q.A - q.B) // 2 + 1
                 assert L.size == a * b
-                assert all(abs(t) <= q.A.twice for r in L.segments() for t in r.rows[0])
+                assert all(abs(t) <= q.A for r in L.segments() for t in r.rows[0])
 
     def test_ladder_condition_enforced(self):
         with pytest.raises(ValueError):
@@ -88,8 +89,7 @@ class TestAtomData:
             ends = sorted(rng.sample(range(-5, 6), k), reverse=True)
             rows = tuple((2 * s + off, 2 * e + off) for s, e in zip(starts, ends))
             direct = Ladder(CuspidalLabel(name, d), rows)
-            segs = [Segment(CuspidalLabel(name, d), HalfInt(s), HalfInt(e))
-                    for s, e in rows]
+            segs = [Ladder(CuspidalLabel(name, d), ((s, e),)) for s, e in rows]
             rng.shuffle(segs)
             built = Ladder(CuspidalLabel(name, d), tuple(sorted(
                 (r.rows[0] for r in segs), reverse=True)))
@@ -111,10 +111,10 @@ class TestInterning:
                  trunc_ladder(quad(3, 0), hi(1)),
                  peel(8, Ladder(R, ((8, -4), (4, -6))), True)]
         assert all(L is built[0] for L in built)
-        one_row = [Ladder(R, ((2, -2),)), Segment(R, hi(1), hi(-1)),
+        one_row = [Ladder(R, ((2, -2),)), seg(1, -1),
                    lad((1, -1)), ladder_multisegment(quad(1, 1)),
-                   peel(4, Segment(R, hi(2), hi(-1)), True),
-                   peel(-4, Segment(R, hi(1), hi(-2)), False)]
+                   peel(4, seg(2, -1), True),
+                   peel(-4, seg(1, -2), False)]
         assert all(L is one_row[0] for L in one_row)
         assert trunc_ladder(quad(3, 0), hi(2)) is lad((3, -1), (1, -3))
 
@@ -182,8 +182,8 @@ class TestPeels:
                 L = ladder_multisegment(q)
                 points = {t for r in L.segments() for t in _points(r)}
                 for t in sorted(points | {min(points) - 2, max(points) + 2}):
-                    got = peel_left(HalfInt(t), L)
-                    if HalfInt(t) == q.B * q.zeta:
+                    got = peel_left(t, L)
+                    if t == q.B * q.zeta:
                         assert got is not None, (a, b, t)
                     else:
                         assert got is None, (a, b, t)
@@ -195,12 +195,12 @@ class TestPeels:
         assert set(got.segments()) == {seg("1/2", "-3/2"), seg("3/2", "1/2")}
 
 
-def _resorting_peel(x, L, left):
-    """The single-point peel as it was before the peeled row kept its index:
-    peel the rows, sort them by descending start, then test the ladder
-    condition."""
+def _resorting_peel(t, L, left):
+    """The single-point peel (t doubled) as it was before the peeled row kept
+    its index: peel the rows, sort them by descending start, then test the
+    ladder condition."""
     for i, (s, e) in enumerate(L.rows):
-        if (s if left else e) == x.twice:
+        if (s if left else e) == t:
             break
     else:
         return None
@@ -228,9 +228,8 @@ class TestPeelOracle:
         cases = 0
         for L in ladders:
             for t in range(-6, 7):
-                x = HalfInt(t)
                 for left in (True, False):
-                    assert peel(t, L, left) == _resorting_peel(x, L, left), (L, t, left)
+                    assert peel(t, L, left) == _resorting_peel(t, L, left), (L, t, left)
                     cases += 1
         assert cases == 36218
 
@@ -273,12 +272,12 @@ class TestTruncLadder:
                         L = trunc_ladder(q, hi(C))
                         pts = {t for r in L.segments() for t in _points(r)}
                         peelable = {
-                            t for t in pts if peel_left(HalfInt(t), L) is not None
+                            t for t in pts if peel_left(t, L) is not None
                         }
                         if C == B + 1:
-                            want = {(hi(B + 2) * zeta).twice}
+                            want = {hi(B + 2) * zeta}
                         elif C == A:
-                            want = {(hi(B + 1) * zeta).twice}
+                            want = {hi(B + 1) * zeta}
                         else:
-                            want = {(hi(B + 1) * zeta).twice, (hi(C + 1) * zeta).twice}
+                            want = {hi(B + 1) * zeta, hi(C + 1) * zeta}
                         assert peelable == want, (zeta, A, B, C)

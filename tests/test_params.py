@@ -3,12 +3,13 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from multiseg import (CuspidalLabel, HalfInt, JordanBlock, Parameter, Quad,
+from multiseg import (CuspidalLabel, JordanBlock, Parameter, Quad,
                       block_order_cmp, diag_restriction, dominate, from_quad,
                       imp_variants, in_Psi_H, is_discrete,
                       is_discrete_diagonal, is_elementary, psi_sharp,
                       reducibility_point, to_quad)
 
+from multiseg.core import _half_str, _twice
 from multiseg.params import _disjoint, _quad_sort_key
 
 from conftest import random_parameter
@@ -20,7 +21,8 @@ ONE_GL1B = CuspidalLabel("oneb", 1, 1, 1)
 
 
 def hi(text):
-    return HalfInt.parse(str(text))
+    """The point written as text or an int, doubled."""
+    return _twice(str(text))
 
 
 class TestQuadCoding:
@@ -124,7 +126,7 @@ def _cascade_cmp(q, qp):
 class TestBlockOrderOracle:
     def test_matches_cascade(self):
         for half in (0, 1):
-            quads = [Quad(R, HalfInt(A2), HalfInt(B2), z)
+            quads = [Quad(R, A2, B2, z)
                      for A2 in range(half, 7, 2) for B2 in range(half, A2 + 1, 2)
                      for z in (1, -1)]
             for q in quads:
@@ -147,21 +149,19 @@ class TestDominate:
         psi = Parameter([JordanBlock(R, 3, 1), JordanBlock(R, 3, 3)])
         tilde, peel = dominate(psi)
         assert tilde == Parameter([JordanBlock(R, 3, 1), JordanBlock(R, 7, 3)])
-        assert [str(x) for _, x in peel] == ["2", "3", "4", "1", "2", "3"]
+        assert [_half_str(t) for _, t in peel] == ["2", "3", "4", "1", "2", "3"]
 
     def _check_domination(self, psi, rule):
         tilde, peel = dominate(psi, rule)
         assert is_discrete_diagonal(tilde)
-        old = sorted(psi.quads(), key=lambda q: (q.rho.name, q.B.twice % 2,
-                                                 q.A.twice, q.B.twice, q.zeta))
-        new = sorted(tilde.quads(), key=lambda q: (q.rho.name, q.B.twice % 2,
-                                                   q.A.twice, q.B.twice, q.zeta))
+        old = sorted(psi.quads(), key=lambda q: (q.rho.name, q.B % 2, q.A, q.B, q.zeta))
+        new = sorted(tilde.quads(), key=lambda q: (q.rho.name, q.B % 2, q.A, q.B, q.zeta))
         expected = 0
         for qo, qn in zip(old, new):
-            assert qo.zeta == qn.zeta or qo.B == HalfInt(0)
+            assert qo.zeta == qn.zeta or qo.B == 0
             assert qo.A - qo.B == qn.A - qn.B
             assert qn.B >= qo.B
-            expected += ((qn.B - qo.B).twice // 2) * ((qo.A - qo.B).twice // 2 + 1)
+            expected += ((qn.B - qo.B) // 2) * ((qo.A - qo.B) // 2 + 1)
         assert len(peel) == expected
         assert dominate(tilde) == (tilde, ())
 
@@ -251,7 +251,7 @@ class TestPsiH:
 class TestReducibilityPoint:
     def test_a_max_case(self):
         phi = Parameter([JordanBlock(ONE_GL1, 3, 1), JordanBlock(ONE_GL1, 1, 1)])
-        assert reducibility_point(phi, ONE_GL1) == HalfInt.of(2)
+        assert reducibility_point(phi, ONE_GL1) == hi(2)
 
     def test_empty_jord_half(self):
         eta_minus = CuspidalLabel("em", 1, -1, 1)
@@ -278,26 +278,25 @@ def _reference_dominate(psi, rule="minimal"):
     peel = []
     by_rho = {}
     for q in psi.quads():
-        by_rho.setdefault(q.rho.name, []).append(q)
-    for name in sorted(by_rho):
-        quads = sorted(by_rho[name], key=_quad_sort_key)
+        by_rho.setdefault(q.rho.key, []).append(q)
+    for key in sorted(by_rho):
+        quads = sorted(by_rho[key], key=_quad_sort_key)
         used = {0: [], 1: []}
         for q in quads:
-            fam = q.B.twice % 2
-            width = (q.A - q.B).twice
-            cand = q.B.twice
+            fam = q.B % 2
+            width = q.A - q.B
+            cand = q.B
             if rule == "staircase":
-                top = max((e for _, e in used[fam]), default=q.B.twice - 2)
-                cand = max(cand, top + 8 - (top + 8 - q.B.twice) % 2)
+                top = max((e for _, e in used[fam]), default=q.B - 2)
+                cand = max(cand, top + 8 - (top + 8 - q.B) % 2)
             if any(not _disjoint((cand, cand + width), iv) for iv in used[fam]):
                 top = max(e for _, e in used[fam])
-                cand = top + 2 - (top + 2 - q.B.twice) % 2
+                cand = top + 2 - (top + 2 - q.B) % 2
             used[fam].append((cand, cand + width))
-            Bt = HalfInt(cand)
-            new_blocks.append(from_quad(Quad(q.rho, Bt + (q.A - q.B), Bt, q.zeta)))
-            for d in range(cand, q.B.twice, -2):
+            new_blocks.append(from_quad(Quad(q.rho, cand + width, cand, q.zeta)))
+            for d in range(cand, q.B, -2):
                 for k in range(0, width + 1, 2):
-                    peel.append((q.rho, HalfInt((d + k) * q.zeta)))
+                    peel.append((q.rho, (d + k) * q.zeta))
     return Parameter(new_blocks), tuple(peel)
 
 

@@ -4,13 +4,14 @@ from itertools import combinations_with_replacement
 import pytest
 
 import multiseg
-from multiseg import (CuspidalLabel, GrothExpr, HalfInt, JordanBlock,
-                      Ladder, Parameter, Quad, Segment, degree_conserved,
+from multiseg import (CuspidalLabel, GrothExpr, JordanBlock,
+                      Ladder, Parameter, Quad, degree_conserved,
                       distinguished_word, induce, is_discrete_diagonal,
                       jac_left, jac_theta, jac_theta_seq, resolve_block,
                       ladder_multisegment, resolve_general, resolve_param,
                       to_quad, total_size, trunc_ladder, verify_cancellation)
 from multiseg import cli, groth, parse_parameter_file, resolve
+from multiseg.core import _half_str, _twice
 from multiseg.groth import canonical_expr, commutative_image
 from multiseg.params import _quad_sort_key, dominate, from_quad
 
@@ -24,11 +25,17 @@ D2 = CuspidalLabel("tau", 2)
 
 
 def hi(x):
-    return HalfInt.parse(str(x))
+    """The point x, written as text or an int, doubled."""
+    return _twice(str(x))
 
 
 def atom(s, e, rho=R):
-    return Segment(rho, hi(s), hi(e))
+    return Ladder(rho, ((hi(s), hi(e)),))
+
+
+def row(s2, e2):
+    """The segment [s2/2..e2/2] over R, from doubled bounds."""
+    return Ladder(R, ((s2, e2),))
 
 
 def all_quads(max_A2: int):
@@ -37,19 +44,18 @@ def all_quads(max_A2: int):
             for zeta in (1, -1):
                 if B2 == 0 and zeta == -1:
                     continue
-                yield Quad(R, HalfInt(A2), HalfInt(B2), zeta)
+                yield Quad(R, A2, B2, zeta)
 
 
 class TestResolveBlock:
     def test_closed_form_A_eq_B_plus_one(self):
         for q in all_quads(8):
-            if q.A != q.B + hi(1):
+            if q.A != q.B + 2:
                 continue
             e = resolve_block(q)
             assert sorted(e.terms.values()) == [-1, 1], str(q)
             z, B = q.zeta, q.B
-            plus = (atom(str(B * z), str(-((B + hi(1)) * z))),
-                    atom(str((B + hi(1)) * z), str(-(B * z))))
+            plus = (row(B * z, -(B + 2) * z), row((B + 2) * z, -B * z))
             assert e.terms.get(tuple(plus)) == 1
 
     def test_instance_1_0(self):
@@ -67,20 +73,17 @@ class TestResolveBlock:
             resolve_block(Quad(R, hi(1), hi(1), 1))
 
     def test_matches_one_level_sum(self):
-        # The paper's one-level sum written out with HalfInt arithmetic,
-        # segment atoms and trunc_ladder, independently of the resolver.
-        one = hi(1)
+        # The paper's one-level sum written out on doubled ints, segment
+        # atoms and trunc_ladder, independently of the resolver.
         for q in all_quads(10):
             A, B, z = q.A, q.B, q.zeta
             terms = []
-            C = B + one
-            while C <= A:
-                middle = (trunc_ladder(q, C),) if A >= B + hi(2) else ()
-                terms.append(((-1) ** ((A - C).twice // 2), atom(str(B * z), str(-(C * z))),
-                              *middle, atom(str(C * z), str(-(B * z)))))
-                C = C + one
-            k = ((A - B).twice // 2 + 1) // 2
-            terms.append(((-1) ** k, ladder_multisegment(Quad(R, A, B + one, z)),
+            for C in range(B + 2, A + 1, 2):
+                middle = (trunc_ladder(q, C),) if A >= B + 4 else ()
+                terms.append(((-1) ** ((A - C) // 2), row(B * z, -C * z),
+                              *middle, row(C * z, -B * z)))
+            k = ((A - B) // 2 + 1) // 2
+            terms.append(((-1) ** k, ladder_multisegment(Quad(R, A, B + 2, z)),
                           ladder_multisegment(Quad(R, B, B, z))))
             assert resolve_block(q) == signed_sum(*terms), str(q)
 
@@ -298,17 +301,17 @@ def _reference_expand(q, rest, sub):
     the reference peel of conftest, the signed results summed as one pair
     list.  Kept as the reference for resolve._expand, so it takes and
     returns terms dicts as _expand does."""
-    rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
-    middle = canonical_expr(sub(rest + ((Quad(rho, q.A, q.B + 2, z),) if A >= B + 4 else ())))
+    rho, A, B, z = q.rho, q.A, q.B, q.zeta
+    middle = canonical_expr(sub(rest + ((Quad(rho, A, B + 4, z),) if A >= B + 4 else ())))
     pairs = []
     for C in range(B + 2, A + 1, 2):
         if C >= B + 4:
-            middle = reference_jac_theta(rho, HalfInt(C * z), middle)
+            middle = reference_jac_theta(rho, C * z, middle)
         left = GrothExpr.word((Ladder(rho, ((B * z, -C * z),)),))
         right = GrothExpr.word((Ladder(rho, ((C * z, -B * z),)),))
         sign = (-1) ** ((A - C) // 2)
         pairs += [(w, sign * c) for w, c in induce([left, middle, right]).terms.items()]
-    closing = sub(rest + (Quad(rho, q.A, q.B + 1, z), Quad(rho, q.B, q.B, z)))
+    closing = sub(rest + (Quad(rho, A, B + 2, z), Quad(rho, B, B, z)))
     sign = (-1) ** (((A - B) // 2 + 1) // 2)
     pairs += [(w, sign * c) for w, c in canonical_expr(closing).terms.items()]
     return GrothExpr(pairs).terms
@@ -371,10 +374,10 @@ def _tree_visits(quads, pick):
         q = pick(expandable, key=_quad_sort_key)
         rest = list(key)
         rest.remove(q)
-        wide = q.A.twice > q.B.twice + 2
+        wide = q.A > q.B + 2
         out.append(({"case": "A>B+1" if wide else "A=B+1", "block": str(q)}, key, depth))
-        visit(rest + ([Quad(q.rho, q.A, q.B + 2, q.zeta)] if wide else []), depth + 1)
-        visit(rest + [Quad(q.rho, q.A, q.B + 1, q.zeta), Quad(q.rho, q.B, q.B, q.zeta)],
+        visit(rest + ([Quad(q.rho, q.A, q.B + 4, q.zeta)] if wide else []), depth + 1)
+        visit(rest + [Quad(q.rho, q.A, q.B + 2, q.zeta), Quad(q.rho, q.B, q.B, q.zeta)],
               depth + 1)
 
     visit(quads, 0)
@@ -406,7 +409,7 @@ class TestResolverIsATree:
     def _check(psis):
         seen = deepest = 0
         for psi in psis:
-            depth = sum(q.A.twice - q.B.twice for q in psi.quads()) // 2
+            depth = sum(q.A - q.B for q in psi.quads()) // 2
             keys = set()
             for choice, pick in (("largest", max), ("smallest", min)):
                 visits = _tree_visits(psi.quads(), pick)
@@ -436,7 +439,7 @@ def _reference_report(psi, monkeypatch):
     the reference peel of conftest, check by check in the same order."""
     quads = psi.quads()
     q, _ = resolve._leading(quads)
-    rho, A, B, z = q.rho, q.A.twice, q.B.twice, q.zeta
+    rho, A, B, z = q.rho, q.A, q.B, q.zeta
     single = len(quads) == 1
     with monkeypatch.context() as m:
         m.setattr(resolve, "_expand", _reference_expand)
@@ -444,19 +447,19 @@ def _reference_report(psi, monkeypatch):
     checks = []
 
     def check(kind, t, val, **extra):
-        checks.append({"kind": kind, "x": str(HalfInt(t)), "vanishes": val.is_zero,
+        checks.append({"kind": kind, "x": _half_str(t), "vanishes": val.is_zero,
                        **extra, "residual": len(val.terms)})
 
     if single:
         inside = {x * z for x in range(B, A + 1, 2)}
         for t in range(-(A + 2), A + 3, 2):
             if t not in inside:
-                check("jac_outside", t, reference_jac(True, rho, HalfInt(t), expr))
+                check("jac_outside", t, reference_jac(True, rho, t, expr))
         for t in range(-A, A + 1, 2):
-            once = reference_jac(True, rho, HalfInt(t), expr)
-            check("jac_xx", t, reference_jac(True, rho, HalfInt(t), once))
+            once = reference_jac(True, rho, t, expr)
+            check("jac_xx", t, reference_jac(True, rho, t, once))
     for c in range(B + 4, A + 1, 2):
-        val = reference_jac_theta(rho, HalfInt(c * z), expr)
+        val = reference_jac_theta(rho, c * z, expr)
         check("jac_theta", c * z, val, vanishes_mod_commutative=not commutative_image(val))
     return {
         "quad": str(q), "single_block": single, "checks": checks,
@@ -533,10 +536,9 @@ class TestPipelinePeelsPositionally:
         assert self._count_peels(monkeypatch, lambda: resolve_param(psi))
 
     def test_counter_sees_the_public_operators(self, monkeypatch):
-        e = resolve_block(Quad(R, HalfInt(6), HalfInt(0), 1))
-        x = HalfInt(4)
+        e = resolve_block(Quad(R, 6, 0, 1))
         calls = self._count_peels(monkeypatch, lambda: (
-            groth.jac_left(R, x, e), groth.jac_right(R, x, e), groth.jac_theta(R, x, e)))
+            groth.jac_left(R, 4, e), groth.jac_right(R, 4, e), groth.jac_theta(R, 4, e)))
         assert calls == ["jac_left", "jac_right", "jac_theta"]
 
 

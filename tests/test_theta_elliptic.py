@@ -169,8 +169,8 @@ def theta_chain(image, points, step_filter=lambda image: image):
     """The theta-peels at points, in order, on atom multisets; step_filter
     is applied to the start and after every theta-step."""
     image = step_filter(image)
-    for rho, x in points:
-        image = peel_multisets(peel_multisets(image, rho, x.twice, True), rho, -x.twice, False)
+    for rho, t in points:
+        image = peel_multisets(peel_multisets(image, rho, t, True), rho, -t, False)
         image = step_filter(image)
     return image
 
