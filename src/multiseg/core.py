@@ -5,10 +5,10 @@ Everything here is exact: below the text boundary a half-integer x is the
 int 2x ("t doubled"), and `_twice` and `_half_str` are the only converters
 from and to its text `n` or `n/2`.  A `Ladder` is a tuple of oriented
 doubled-int rows over one label, interned and checked once when first
-built; a segment is a one-row ladder.  A multisegment is stored as sorted
-doubled-int rows (label, start2, end2); parsing and the dual work on those
-rows and build no ladder, which only `Multisegment.segments` and iteration
-make.
+built; a segment is a one-row ladder.  A multisegment is built from and
+stored as sorted doubled-int rows (label, start2, end2); parsing and the
+dual work on those rows and build no ladder, which only
+`Multisegment.segments` and iteration make.
 """
 
 from __future__ import annotations
@@ -52,7 +52,9 @@ class Frozen:
     `_astuple`; assigning or deleting an attribute afterwards raises
     AttributeError.  Equality (NotImplemented against any other class), the
     hash, the repr `Name(field=value, ...)`, pickling and copying all read
-    that tuple."""
+    that tuple.  `Ladder`, being interned, keeps object's identity equality
+    and hash; `CuspidalLabel` compares by its key and hashes by its name;
+    `GrothExpr` is unhashable."""
 
     __slots__ = ()
 
@@ -139,19 +141,19 @@ def _body(rows) -> str:
 _interned: WeakValueDictionary = WeakValueDictionary()
 
 
-class Ladder:
+class Ladder(Frozen):
     """Oriented rows as doubled (start, end) pairs in ladder order
     (descending start).  One row is the socle <rho||^start, ..., rho||^end>;
     orientation is meaningful.
 
     Interned by `key`, (label key, multi-row, rows): the constructor returns
     the live ladder with the same label data (name, d, eta, chi) and rows if
-    there is one, so equal ladders are one object, equality is identity and
-    the hash is object's.  A new value is checked once, when it is first
-    built: every row's bounds differ by an integer, and the rows satisfy the
-    ladder condition.  Built once per value and read in the word loops: size
-    (times rho.d), the sort key and one (coset parity, lo, hi) span per
-    row."""
+    there is one, so equal ladders are one object, equality is identity,
+    the hash is object's, and a pickle or a copy is the live ladder.  A new
+    value is checked once, when it is first built: every row's bounds differ
+    by an integer, and the rows satisfy the ladder condition.  Built once
+    per value and read in the word loops: size (times rho.d), the sort key
+    and one (coset parity, lo, hi) span per row."""
 
     __slots__ = ("rho", "rows", "size", "spans", "key", "__weakref__")
 
@@ -175,11 +177,11 @@ class Ladder:
             _interned[key] = self
         return self
 
-    def __setattr__(self, *a):
-        raise AttributeError("Ladder is immutable")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __reduce__(self):
-        return Ladder, (self.rho, self.rows)
+    def _astuple(self) -> tuple:
+        return (self.rho, self.rows)
 
     def __repr__(self) -> str:
         return f"Ladder({self.rho!r}, {self.rows!r})"
@@ -202,51 +204,31 @@ class Ladder:
         return f"L({_body(self.rows)}){self.rho.name}"
 
 
-class Multisegment:
+class Multisegment(Frozen):
     """Multiset of segments; equality forgets orientation.
 
-    Stored as one tuple `rows` of (label, start2, end2) with doubled ints,
-    every row descending (start2 >= end2) and sorted by (label key, start
-    descending, end descending), so equal multisets have equal rows.  The
-    constructor takes ladders, a segment being a one-row ladder, and reads
-    every row of each; `segments` and iteration build the one-row ladders
-    on demand.
+    Built from (label, start2, end2) rows with doubled ints, in either
+    orientation, with no ladder built; the caller keeps start2 - end2 even.
+    Stored as one tuple `rows`, every row descending (start2 >= end2) and
+    sorted by (label key, start descending, end descending), so equal
+    multisets have equal rows.  `groth.gl_multisegment` builds the
+    multisegment of a word of ladders; `segments` and iteration build the
+    one-row ladders on demand.
     """
 
     __slots__ = ("rows",)
 
-    def __init__(self, segments=()):
-        self._set_rows((lad.rho, s, e) for lad in segments for s, e in lad.rows)
-
-    @classmethod
-    def from_rows(cls, rows) -> "Multisegment":
-        """The multisegment of (label, start2, end2) rows in either
-        orientation, with no ladder built; the caller keeps start2 - end2
-        even."""
-        m = cls.__new__(cls)
-        m._set_rows(rows)
-        return m
-
-    def _set_rows(self, rows) -> None:
+    def __init__(self, rows=()):
         oriented = [(rho, s, e) if s >= e else (rho, e, s) for rho, s, e in rows]
         oriented.sort(key=lambda r: (r[0].key, -r[1], -r[2]))
         object.__setattr__(self, "rows", tuple(oriented))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Multisegment is immutable")
-
-    def __reduce__(self):
-        return Multisegment.from_rows, (self.rows,)
+    def _astuple(self) -> tuple:
+        return (self.rows,)
 
     @property
     def segments(self) -> tuple[Ladder, ...]:
         return tuple(Ladder(rho, ((s, e),)) for rho, s, e in self.rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Multisegment) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -305,7 +287,7 @@ def mw_dual(m: Multisegment) -> Multisegment:
     families: dict[tuple[CuspidalLabel, int], list[tuple[int, int]]] = {}
     for rho, s2, e2 in m.rows:
         families.setdefault((rho, s2 % 2), []).append((s2, e2))
-    return Multisegment.from_rows(
+    return Multisegment(
         (rho, s2, e2)
         for (rho, _), rows in families.items()
         for s2, e2 in _dual_one_family(rows)
@@ -345,4 +327,4 @@ def parse_multisegment(text: str) -> Multisegment:
         if not sep:
             raise ValueError(f"expected ',' between segments near: {body[m.end():].lstrip()!r}")
         pos = sep.end()
-    return Multisegment.from_rows(rows)
+    return Multisegment(rows)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .core import CuspidalLabel, Ladder, Multisegment
+from .core import CuspidalLabel, Frozen, Ladder, Multisegment
 from .ladders import peel
 
 
@@ -62,8 +62,9 @@ def total_size(word: tuple[Ladder, ...]) -> int:
 
 
 def gl_multisegment(word: tuple[Ladder, ...]) -> Multisegment:
-    """The multisegment of every row of every atom of the word."""
-    return Multisegment(word)
+    """The multisegment of every row of every atom of the word: the only
+    way to build a multisegment from ladders."""
+    return Multisegment((a.rho, s, e) for a in word for s, e in a.rows)
 
 
 def _sum(pairs) -> dict:
@@ -78,17 +79,19 @@ def _sum(pairs) -> dict:
     return acc
 
 
-class GrothExpr:
-    """Map from canonical words to nonzero integer coefficients."""
+class GrothExpr(Frozen):
+    """Map from canonical words to nonzero integer coefficients; unhashable,
+    as its terms are a dict."""
 
     __slots__ = ("terms",)
+    __hash__ = None
 
     def __init__(self, pairs=()):
         """Sum (canonical word, coefficient) pairs, dropping zero totals."""
         object.__setattr__(self, "terms", _sum(pairs))
 
-    def __setattr__(self, *a):
-        raise AttributeError("GrothExpr is immutable")
+    def _astuple(self) -> tuple:
+        return (self.terms,)
 
     def __reduce__(self):
         return GrothExpr, (tuple(self.terms.items()),)
@@ -100,9 +103,6 @@ class GrothExpr:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GrothExpr) and self.terms == other.terms
 
     def sorted_terms(self):
         """Terms by total size, then atom by atom by key: the distinct atoms

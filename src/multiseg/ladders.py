@@ -27,8 +27,8 @@ def ladder_multisegment(q: Quad) -> Ladder:
 def tableau_cols(q: Quad) -> Multisegment:
     """Column reading of the quad's tableau, as an (unoriented) multisegment."""
     A, B, z = q.A, q.B, q.zeta
-    return Multisegment.from_rows((q.rho, (B - 2 * m) * z, (A - 2 * m) * z)
-                                  for m in range((A + B) // 2 + 1))
+    return Multisegment((q.rho, (B - 2 * m) * z, (A - 2 * m) * z)
+                        for m in range((A + B) // 2 + 1))
 
 
 def peel(t: int, lad: Ladder, left: bool) -> Ladder | None:

@@ -88,7 +88,7 @@ def _quad_sort_key(q: Quad):
     return (q.rho.key, q.A, q.B, q.zeta)
 
 
-class Parameter:
+class Parameter(Frozen):
     """Multiset of Jordan blocks with derived total size n.
 
     Blocks are stored as a sorted tuple; multiplicity is repetition, and an
@@ -101,11 +101,8 @@ class Parameter:
         blocks = tuple(sorted(blocks, key=lambda b: (b.rho.key, b.a, b.b)))
         object.__setattr__(self, "blocks", blocks)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Parameter is immutable")
-
-    def __reduce__(self):
-        return Parameter, (self.blocks,)
+    def _astuple(self) -> tuple:
+        return (self.blocks,)
 
     @property
     def n(self) -> int:
@@ -117,12 +114,6 @@ class Parameter:
 
     def quads(self) -> tuple[Quad, ...]:
         return tuple(to_quad(b) for b in self.blocks)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Parameter) and self.blocks == other.blocks
-
-    def __hash__(self) -> int:
-        return hash(self.blocks)
 
     def __len__(self) -> int:
         return len(self.blocks)

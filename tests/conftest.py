@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from multiseg import CuspidalLabel, GrothExpr, JordanBlock, Ladder, Multisegment, Parameter
+from multiseg import CuspidalLabel, GrothExpr, JordanBlock, Ladder, Parameter, gl_multisegment
 from multiseg.groth import canonical_word
 from multiseg.ladders import peel
 
@@ -48,7 +48,7 @@ def random_multisegment(rng: random.Random, rho, max_segments=20, span=6):
         e = rng.randint(-span, span)
         off = 1 if half else 0
         segs.append(Ladder(rho, ((2 * s + off, 2 * e + off),)))
-    return Multisegment(segs)
+    return gl_multisegment(segs)
 
 
 def signed_sum(*terms):
@@ -69,7 +69,7 @@ def reference_jac(left, rho, t, e):
     def peeled():
         for word, c in e.terms.items():
             for i, atom in enumerate(word):
-                if atom.rho.name != rho.name:
+                if atom.rho != rho:
                     continue
                 key = id(atom)
                 if key not in peels:

@@ -289,6 +289,29 @@ class TestCommute:
             assert len(calls) == max(k - 1, 0)
 
 
+# three labels named rho that differ in d, or in eta and chi
+_SHARED_NAME = (CuspidalLabel("rho"), CuspidalLabel("rho", 2), CuspidalLabel("rho", 1, 1, -1))
+
+
+@st.composite
+def _shared_name_cases(draw):
+    """A random expression of short words of segments over the three labels
+    named rho, and a point (label, t), t doubled: an end of one of its rows
+    three times in four, else any point; the label is drawn apart from the
+    point, so it often names a row of another label."""
+    seg = st.builds(lambda rho, off, s, n: Ladder(rho, ((2 * s + off, 2 * (s - n) + off),)),
+                    st.sampled_from(_SHARED_NAME), st.integers(0, 1), st.integers(-3, 3),
+                    st.integers(-2, 2))
+    words = draw(st.lists(st.lists(seg, min_size=1, max_size=3), max_size=3))
+    e = GrothExpr((canonical_word(tuple(w)), draw(st.sampled_from([1, -1, 2]))) for w in words)
+    ends = sorted({t for w in e.terms for a in w for row in a.rows for t in row})
+    if ends and draw(st.integers(0, 3)):
+        t = draw(st.sampled_from(ends))
+    else:
+        t = draw(st.integers(-7, 7))
+    return e, draw(st.sampled_from(_SHARED_NAME)), t
+
+
 class TestLabelsSharingAName:
     """Two labels with one name and different data are two cuspidal lines:
     commutation, the Jacquet peels and the print order read the label's
@@ -347,6 +370,15 @@ class TestLabelsSharingAName:
     def test_parameter_file_refuses_them(self):
         with pytest.raises(ValueError, match="two labels share the name 'rho'"):
             render_parameter_file(self._psi())
+
+    @settings(max_examples=200, deadline=None)
+    @given(_shared_name_cases())
+    @example((word(atom(2, 0, RHO_D2), atom(5, 5, RHO_D1)), RHO_D1, hi(2)))
+    def test_peels_against_the_reference(self, case):
+        e, rho, t = case
+        assert jac_left(rho, t, e) == reference_jac(True, rho, t, e)
+        assert jac_right(rho, t, e) == reference_jac(False, rho, t, e)
+        assert jac_theta(rho, t, e) == reference_jac_theta(rho, t, e)
 
 
 def _random_atom(rng: random.Random):

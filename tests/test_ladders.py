@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from multiseg import (CuspidalLabel, JordanBlock, Ladder, Multisegment, Quad,
+from multiseg import (CuspidalLabel, JordanBlock, Ladder, Quad, gl_multisegment,
                       ladder_multisegment, peel_left, peel_right, tableau_cols,
                       to_quad, trunc_ladder)
 from multiseg.core import _twice
@@ -143,11 +143,11 @@ class TestInterning:
 
 class TestTableauCols:
     def test_single_row_gives_singletons(self):
-        assert tableau_cols(quad(1, 1)) == Multisegment(
+        assert tableau_cols(quad(1, 1)) == gl_multisegment(
             [seg(1, 1), seg(0, 0), seg(-1, -1)])
 
     def test_two_row_case(self):
-        assert tableau_cols(quad("3/2", "1/2")) == Multisegment(
+        assert tableau_cols(quad("3/2", "1/2")) == gl_multisegment(
             [seg("3/2", "1/2"), seg("1/2", "-1/2"), seg("-1/2", "-3/2")])
 
 

@@ -1,12 +1,12 @@
 """The contract of the value classes: CuspidalLabel, JordanBlock, Quad,
-Composition and Resolution, and the pickling of Parameter, GrothExpr and
-Multisegment.
+Composition, Ladder, Parameter, Multisegment, GrothExpr and Resolution.
 
 Each expected value (repr text, error message, hash, comparison result)
-was recorded from the frozen-dataclass versions of these classes, so the
-plain classes that replaced them must keep every one.  The Quad rows were
-re-recorded when its A and B became doubled ints; its str and its error
-messages still print A and B as half-integers.
+of CuspidalLabel, JordanBlock, Quad, Composition and Resolution was
+recorded from their frozen-dataclass versions, so the plain classes that
+replaced them must keep every one.  The Quad rows were re-recorded when its
+A and B became doubled ints; its str and its error messages still print A
+and B as half-integers.
 """
 
 import copy
@@ -14,26 +14,32 @@ import pickle
 
 import pytest
 
-from multiseg import (CuspidalLabel, GrothExpr, JordanBlock, Ladder, Parameter,
-                      parse_multisegment, resolve_general)
+from multiseg import (CuspidalLabel, GrothExpr, JordanBlock, Ladder, Multisegment,
+                      Parameter, resolve_general)
 from multiseg.params import Quad
 from multiseg.resolve import Resolution
 from multiseg.wedges import Composition
 
 R = CuspidalLabel("rho")
+LABELS = [CuspidalLabel("rho"), CuspidalLabel("sig", 2, -1, 1), CuspidalLabel("tau", 1, 1, -1)]
+SIG, TAU = LABELS[1:]
+BLOCKS = (JordanBlock(R, 3, 2), JordanBlock(SIG, 1, 1))
+ROWS = ((R, 3, -1), (R, 1, 1), (TAU, 0, -4))
 
-# (value, its repr, its field tuple) for every immutable class
+# (value, its repr, its field tuple) for every class with Frozen's equality
+# and hash; Parameter and Multisegment sort (and orient) what they are given
 FROZEN = [
     (JordanBlock(R, 3, 2), "JordanBlock(rho=CuspidalLabel('rho'), a=3, b=2)", (R, 3, 2)),
     (Quad(R, 5, 1, -1), "Quad(rho=CuspidalLabel('rho'), A=5, B=1, zeta=-1)", (R, 5, 1, -1)),
     (Composition((2, 1)), "Composition(parts=(2, 1))", ((2, 1),)),
+    (Parameter(BLOCKS[::-1]), "{(rho,3,2), (sig,1,1)}", (BLOCKS,)),
+    (Multisegment([(TAU, -4, 0), (R, 1, 1), (R, -1, 3)]),
+     "{[3/2..-1/2]rho, [1/2..1/2]rho, [0..-2]tau}", (ROWS,)),
 ]
-LABELS = [CuspidalLabel("rho"), CuspidalLabel("sig", 2, -1, 1), CuspidalLabel("tau", 1, 1, -1)]
-IMMUTABLE = [v for v, _, _ in FROZEN] + LABELS
-# immutable classes that are not Frozen, with their own __reduce__
-PLAIN = [Parameter([JordanBlock(R, 3, 2), JordanBlock(LABELS[1], 1, 1)]),
-         GrothExpr([((Ladder(R, ((2, 0),)), Ladder(R, ((1, -1), (-1, -3)))), -2)]),
-         parse_multisegment("{[3/2..-1/2]rho, [0..-2]tau, [1/2..1/2]rho}")]
+IMMUTABLE = [v for v, _, _ in FROZEN] + LABELS + [
+    Ladder(R, ((1, -1), (-1, -3))),
+    GrothExpr([((Ladder(R, ((2, 0),)), Ladder(R, ((1, -1), (-1, -3)))), -2)]),
+]
 
 
 @pytest.mark.parametrize("value, text, fields", FROZEN, ids=lambda v: type(v).__name__)
@@ -80,7 +86,27 @@ def test_assignment_and_deletion_raise(value):
         value.other = 1
 
 
-@pytest.mark.parametrize("value", IMMUTABLE + PLAIN, ids=lambda v: type(v).__name__)
+def test_refused_deletion_leaves_the_interned_ladder_whole():
+    rows = ((5, 1),)
+    L = Ladder(R, rows)
+    with pytest.raises(AttributeError, match="cannot delete field 'size'"):
+        del L.size
+    assert Ladder(R, rows) is L and L.size == 3
+
+
+def test_ladder_keeps_object_identity_slots():
+    assert Ladder.__eq__ is object.__eq__ and Ladder.__hash__ is object.__hash__
+    L = Ladder(R, ((2, 0),))
+    assert hash(L) == object.__hash__(L) and L.__eq__(Ladder(R, ((0, 2),))) is NotImplemented
+
+
+def test_groth_expr_is_unhashable():
+    with pytest.raises(TypeError, match="unhashable type: 'GrothExpr'"):
+        hash(GrothExpr())
+    assert GrothExpr().__eq__(object()) is NotImplemented
+
+
+@pytest.mark.parametrize("value", IMMUTABLE, ids=lambda v: type(v).__name__)
 def test_pickle_and_copy_round_trips(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
