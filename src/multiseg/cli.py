@@ -211,8 +211,17 @@ def cmd_dominate(args) -> int:
     return OK
 
 
+# support points of a dual input, its segment lengths summed; one segment of
+# 100 000 points takes about 0.6 s on 2 vCPU (Python 3.11)
+MAX_SUPPORT = 100_000
+
+
 def cmd_dual(args) -> int:
     m = parse_multisegment(args.multisegment)
+    points = sum((s - e) // 2 + 1 for _, s, e in m.rows)
+    if points > MAX_SUPPORT:
+        raise ValueError(f"the multisegment covers {points} support points, "
+                         f"more than the limit of {MAX_SUPPORT}")
     d = mw_dual(m)
     if mw_dual(d) != m:
         raise IdentityError("dual applied twice did not return the input")

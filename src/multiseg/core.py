@@ -8,7 +8,7 @@ doubled-int rows over one label, interned and checked once when first
 built; a segment is a one-row ladder.  A multisegment is built from and
 stored as sorted doubled-int rows (label, start2, end2); parsing and the
 dual work on those rows and build no ladder, which only
-`Multisegment.segments` and iteration make.
+`Multisegment.segments` and iteration make.  Ladder and Multisegment refuse odd start2 - end2.
 """
 
 from __future__ import annotations
@@ -138,6 +138,11 @@ def _body(rows) -> str:
     return ",".join(f"[{_half_str(s)}..{_half_str(e)}]" for s, e in rows)
 
 
+def _parity_error(rho: CuspidalLabel, s: int, e: int) -> ValueError:
+    """The error for the row (s, e), doubled and printed as given, of odd s - e."""
+    return ValueError(f"segment bounds differ by a non-integer: {_body(((s, e),))}{rho.name}")
+
+
 _interned: WeakValueDictionary = WeakValueDictionary()
 
 
@@ -163,8 +168,7 @@ class Ladder(Frozen):
         if self is None:
             for s, e in rows:
                 if (s - e) % 2:
-                    raise ValueError("segment bounds differ by a non-integer: "
-                                     f"{_body(((s, e),))}{rho.name}")
+                    raise _parity_error(rho, s, e)
             if not _is_ladder(rows):
                 raise ValueError(f"rows do not satisfy the ladder condition: {_body(rows)}")
             self = object.__new__(cls)
@@ -208,7 +212,7 @@ class Multisegment(Frozen):
     """Multiset of segments; equality forgets orientation.
 
     Built from (label, start2, end2) rows with doubled ints, in either
-    orientation, with no ladder built; the caller keeps start2 - end2 even.
+    orientation, with no ladder built; an odd start2 - end2 raises, as in Ladder.
     Stored as one tuple `rows`, every row descending (start2 >= end2) and
     sorted by (label key, start descending, end descending), so equal
     multisets have equal rows.  `groth.gl_multisegment` builds the
@@ -219,7 +223,11 @@ class Multisegment(Frozen):
     __slots__ = ("rows",)
 
     def __init__(self, rows=()):
-        oriented = [(rho, s, e) if s >= e else (rho, e, s) for rho, s, e in rows]
+        oriented = []
+        for rho, s, e in rows:
+            if (s - e) % 2:
+                raise _parity_error(rho, s, e)
+            oriented.append((rho, s, e) if s >= e else (rho, e, s))
         oriented.sort(key=lambda r: (r[0].key, -r[1], -r[2]))
         object.__setattr__(self, "rows", tuple(oriented))
 
@@ -318,11 +326,7 @@ def parse_multisegment(text: str) -> Multisegment:
         rho = labels.get(name)
         if rho is None:
             rho = labels[name] = CuspidalLabel(name)
-        s2, e2 = _twice(start), _twice(end)
-        if (s2 - e2) % 2:
-            raise ValueError("segment bounds differ by a non-integer: "
-                             f"[{_half_str(s2)}..{_half_str(e2)}]{name}")
-        rows.append((rho, s2, e2))
+        rows.append((rho, _twice(start), _twice(end)))
         sep = _SEP_RE.match(body, m.end())
         if not sep:
             raise ValueError(f"expected ',' between segments near: {body[m.end():].lstrip()!r}")

@@ -11,7 +11,7 @@ ladders: equal atoms are one object, carrying its size, sort key and row
 spans.  Jac_x acts by the Leibniz rule over word factors; every Jacquet
 operator takes its point x as the doubled int t = 2x.  Each runs on one
 loop, peel_terms, over positional words (atom tuples that are not
-canonicalized), and canonical_expr canonicalizes only the words it returns.
+canonicalized), and the GrothExpr it returns canonicalizes its words.
 """
 
 from __future__ import annotations
@@ -80,25 +80,21 @@ def _sum(pairs) -> dict:
 
 
 class GrothExpr(Frozen):
-    """Map from canonical words to nonzero integer coefficients; unhashable,
-    as its terms are a dict."""
+    """Map from words, canonicalized by the constructor, to nonzero integer
+    coefficients; unhashable, as its terms are a dict."""
 
     __slots__ = ("terms",)
     __hash__ = None
 
     def __init__(self, pairs=()):
-        """Sum (canonical word, coefficient) pairs, dropping zero totals."""
-        object.__setattr__(self, "terms", _sum(pairs))
+        """Sum (word, coefficient) pairs by canonical word; zero totals drop."""
+        object.__setattr__(self, "terms", _sum((canonical_word(w), c) for w, c in pairs))
 
     def _astuple(self) -> tuple:
         return (self.terms,)
 
     def __reduce__(self):
         return GrothExpr, (tuple(self.terms.items()),)
-
-    @staticmethod
-    def word(atoms, coeff: int = 1) -> "GrothExpr":
-        return GrothExpr(((canonical_word(tuple(atoms)), coeff),))
 
     @property
     def is_zero(self) -> bool:
@@ -138,7 +134,7 @@ def induce(parts) -> GrothExpr:
     terms = [((), 1)]
     for p in parts:
         terms = [(w1 + w2, c1 * c2) for w1, c1 in terms for w2, c2 in p.terms.items()]
-    return GrothExpr((canonical_word(w), c) for w, c in terms)
+    return GrothExpr(terms)
 
 
 def peel_terms(terms: dict, rho: CuspidalLabel, t: int, left: bool) -> dict:
@@ -166,26 +162,21 @@ def theta_terms(terms: dict, rho: CuspidalLabel, t: int) -> dict:
     return peel_terms(peel_terms(terms, rho, t, True), rho, -t, False)
 
 
-def canonical_expr(terms: dict) -> GrothExpr:
-    """The expression of positional terms: each word canonicalized."""
-    return GrothExpr((canonical_word(w), c) for w, c in terms.items())
-
-
 def jac_left(rho: CuspidalLabel, t: int, e: GrothExpr) -> GrothExpr:
     """Leibniz sum of left peels at rho||^(t/2), t doubled, over all word
     factors."""
-    return canonical_expr(peel_terms(e.terms, rho, t, True))
+    return GrothExpr(peel_terms(e.terms, rho, t, True).items())
 
 
 def jac_right(rho: CuspidalLabel, t: int, e: GrothExpr) -> GrothExpr:
     """Mirror of jac_left: right peels at rho||^(t/2), t doubled."""
-    return canonical_expr(peel_terms(e.terms, rho, t, False))
+    return GrothExpr(peel_terms(e.terms, rho, t, False).items())
 
 
 def jac_theta(rho: CuspidalLabel, t: int, e: GrothExpr) -> GrothExpr:
     """Two-sided peel, t doubled: rho||^(t/2) from the left, then
     rho||^(-t/2) from the right."""
-    return canonical_expr(theta_terms(e.terms, rho, t))
+    return GrothExpr(theta_terms(e.terms, rho, t).items())
 
 
 def jac_theta_seq(points, e: GrothExpr) -> GrothExpr:
@@ -201,7 +192,7 @@ def jac_theta_seq(points, e: GrothExpr) -> GrothExpr:
     terms = e.terms
     for rho, t in points:
         terms = theta_terms(terms, rho, t)
-    return canonical_expr(terms)
+    return GrothExpr(terms.items())
 
 
 def commutative_image(e: GrothExpr) -> dict:

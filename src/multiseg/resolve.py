@@ -4,8 +4,8 @@ A block with A > B is expanded into the signed sum over C in ]B, A] of
   (-1)^(A-C)  <zB..-zC> x Jac^theta_{z(B+2)..zC}( rest x (A,B+2,z) ) x <zC..-zB>
 plus the closing term (-1)^[(A-B+1)/2] (rest x (A,B+1,z) x (B,B,z)).
 _expand writes this sum once on positional terms dicts, with sub() giving
-the words of the smaller parameters; like every jac_*, resolve_param and
-resolve_block canonicalize once, at their exit.  resolve_param's recursion
+the words of the smaller parameters; the GrothExpr that resolve_param and
+resolve_block return canonicalizes each word once.  resolve_param's recursion
 passes itself as sub, so every surviving word is a product of oriented
 segment atoms; resolve_block is one step of it with the tableaux as leaves,
 so its truncated tableaux (the theta-peels of one tableau) stay ladder atoms.
@@ -20,8 +20,8 @@ middle call and by 1 through the closing one: the depth is exactly Sum(A-B).
 from __future__ import annotations
 
 from .core import Ladder, _half_str
-from .groth import (GrothExpr, _sum, canonical_expr, canonical_word, commutative_image,
-                    jac_theta_seq, peel_terms, theta_terms, total_size)
+from .groth import (GrothExpr, _sum, canonical_word, commutative_image, jac_theta_seq,
+                    peel_terms, theta_terms, total_size)
 from .ladders import ladder_multisegment
 from .params import Parameter, Quad, _quad_sort_key, dominate, is_discrete_diagonal
 
@@ -52,8 +52,8 @@ def _expand(q: Quad, rest: tuple[Quad, ...], sub) -> dict:
     sub maps a tuple of quads to positional terms.  For A = B+1 the middle
     is sub(rest).  Each C theta-peels the previous middle at the doubled
     point zC, which is Jac^theta_{z(B+2)..zC} of the first, and wraps its
-    words as (<zB..-zC>, *w, <zC..-zB>), not canonicalized: the caller
-    canonicalizes once, at its exit.  All the terms go into one sum.  The
+    words as (<zB..-zC>, *w, <zC..-zB>), not canonicalized: the caller's
+    GrothExpr canonicalizes them.  All the terms go into one sum.  The
     closing sub call comes last, which keeps the resolver's trace order."""
     rho, A, B, z = q.rho, q.A, q.B, q.zeta
     inner = rest + ((Quad(rho, A, B + 4, z),) if A >= B + 4 else ())
@@ -76,7 +76,7 @@ def resolve_block(q: Quad) -> GrothExpr:
     tableaux as leaves: the truncated tableaux come out as ladder atoms."""
     if q.A <= q.B:
         raise ValueError(f"resolve_block needs A > B, got {q}")
-    return canonical_expr(_expand(q, (), _elementary_word))
+    return GrothExpr(_expand(q, (), _elementary_word).items())
 
 
 def _leading(quads, pick=max):
@@ -154,7 +154,7 @@ def resolve_param(psi: Parameter, block_choice: str = "largest") -> Resolution:
         trace.append({"case": "A=B+1" if q.A == q.B + 2 else "A>B+1", "block": str(q)})
         return _expand(q, tuple(rest), resolve)
 
-    return Resolution(psi, canonical_expr(resolve(psi.quads())), trace)
+    return Resolution(psi, GrothExpr(resolve(psi.quads()).items()), trace)
 
 
 def resolve_general(psi: Parameter, rule: str = "minimal") -> Resolution:
@@ -208,12 +208,12 @@ def verify_cancellation(psi: Parameter) -> dict:
         inside = {x * z for x in range(B, A + 1, 2)}
         for t in range(-(A + 2), A + 3, 2):
             if t not in inside:
-                check("jac_outside", t, canonical_expr(peel_terms(terms, rho, t, True)))
+                check("jac_outside", t, GrothExpr(peel_terms(terms, rho, t, True).items()))
         for t in range(-A, A + 1, 2):
             once = peel_terms(terms, rho, t, True)
-            check("jac_xx", t, canonical_expr(peel_terms(once, rho, t, True)))
+            check("jac_xx", t, GrothExpr(peel_terms(once, rho, t, True).items()))
     for c in cs:
-        val = canonical_expr(theta_terms(terms, rho, c * z))
+        val = GrothExpr(theta_terms(terms, rho, c * z).items())
         check("jac_theta", c * z, val, vanishes_mod_commutative=not commutative_image(val))
     return {
         "quad": str(q), "single_block": single, "checks": checks,

@@ -36,6 +36,17 @@ FILES = {
 }
 
 
+# cases that no FILES variant reaches: the staircase domination rule, the
+# theta-checks of verify on several blocks (their known false failure,
+# exit 2) and a pair of blocks in z_sets' Z_W
+EXTRA = [
+    ("mult.dominate-staircase", ["dominate", "mult.txt", "--rule", "staircase"]),
+    ("mult.resolve-staircase", ["resolve", "mult.txt", "--rule", "staircase"]),
+    ("residual.verify", ["verify", "residual.txt"]),
+    ("zwpairs.signs", ["signs", "zwpairs.txt"]),
+]
+
+
 def cases():
     for stem, (rho, x) in FILES.items():
         path = f"{stem}.txt"
@@ -57,6 +68,9 @@ def cases():
         yield f"dual{i}.json", ["dual", "--json", m]
     yield "complex-check", ["complex-check", "--n", "4"]
     yield "complex-check.json", ["complex-check", "--json", "--n", "4"]
+    for name, argv in EXTRA:
+        yield name, argv
+        yield f"{name}.json", argv[:1] + ["--json"] + argv[1:]
 
 
 def run(argv):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import multiseg
 from multiseg import (CuspidalLabel, GrothExpr, Ladder, Quad,
                       parse_parameter_file, render_parameter_file,
                       resolve_block)
+from multiseg import cli
 from multiseg import core
 from multiseg.cli import MAX_N, _dumps, build_parser, main
 from multiseg.groth import canonical_word
@@ -425,8 +427,8 @@ class TestJsonRendererOracle:
 
     def test_zero_and_empty_word(self):
         self._check(GrothExpr())
-        self._check(GrothExpr.word(()))
-        self._check(GrothExpr.word((), -3))
+        self._check(GrothExpr([((), 1)]))
+        self._check(GrothExpr([((), -3)]))
 
     @pytest.mark.parametrize("A2, B2, zeta", [(6, 0, 1), (5, 1, -1), (8, 2, 1)])
     def test_ladder_atoms_of_resolve_block(self, A2, B2, zeta):
@@ -543,6 +545,38 @@ class TestComplexCheckBound:
         proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=20)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == f"error: --n must be at most {MAX_N}, got {n}\n"
+
+
+class TestDualSupportBound:
+    """dual refuses an input of more than cli.MAX_SUPPORT support points at
+    once, with one error: line and exit 1; 25 characters of input would
+    otherwise decide how long the dual runs and how much memory it takes."""
+
+    def test_refused_up_front(self, capsys):
+        t0 = time.perf_counter()
+        assert main(["dual", "{[5000000..-5000000]}"]) == 1
+        assert time.perf_counter() - t0 < 1
+        assert capsys.readouterr() == ("", "error: the multisegment covers 10000001 "
+                                       "support points, more than the limit of 100000\n")
+
+    def test_no_traceback(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(multiseg.__file__).parents[1])}
+        argv = [sys.executable, "-m", "multiseg.cli", "dual", "{[5000000..-5000000]}"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=20)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    def test_boundary(self, monkeypatch, capsys):
+        # 12 points: [2..0] 3, [1/2..-3/2] 3, [5..0]tau 6
+        monkeypatch.setattr(cli, "MAX_SUPPORT", 12)
+        text = "{[2..0], [1/2..-3/2], [5..0]tau}"
+        assert main(["dual", text]) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setattr(cli, "MAX_SUPPORT", 11)
+        assert main(["dual", text]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: the multisegment covers 12 support points, "
+                                  "more than the limit of 11\n")
 
 
 class TestParserBuiltOnce:

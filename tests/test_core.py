@@ -201,6 +201,37 @@ class TestRowConstructor:
         assert parse_multisegment(str(by_rows)) == by_rows
 
 
+class TestMultisegmentParity:
+    """The row constructor refuses a row whose bounds differ by a
+    non-integer with the message of Ladder, the row printed as given, so
+    every multisegment that constructs has integral segments and the dual
+    is an involution on it."""
+
+    @pytest.mark.parametrize("row, text", [((1, 0), "[1/2..0]"), ((0, 1), "[0..1/2]"),
+                                           ((-3, 4), "[-3/2..2]"), ((4, -3), "[2..-3/2]")])
+    def test_odd_row_refused_in_either_orientation(self, row, text):
+        with pytest.raises(ValueError) as by_ladder:
+            Ladder(RHO, (row,))
+        with pytest.raises(ValueError) as by_rows:
+            Multisegment([(RHO, 4, 0), (RHO, *row)])
+        want = f"segment bounds differ by a non-integer: {text}rho"
+        assert str(by_rows.value) == str(by_ladder.value) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_LABELS), st.integers(-8, 8),
+                              st.integers(-8, 8)), max_size=10))
+    @example([(RHO, 1, 0)])
+    def test_dual_is_an_involution_on_every_multisegment(self, rows):
+        try:
+            m = Multisegment(rows)
+        except ValueError:
+            assert any((s - e) % 2 for _, s, e in rows)
+            return
+        d = mw_dual(m)
+        assert support(d) == support(m)
+        assert mw_dual(d) == m
+
+
 # three labels of one name that differ in d or eta
 _ONE_NAME = (CuspidalLabel("rho"), CuspidalLabel("rho", 2), CuspidalLabel("rho", 1, -1))
 

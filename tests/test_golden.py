@@ -25,6 +25,12 @@ def test_cli_output_matches_golden(case, monkeypatch, capsys):
     assert out == (GOLDEN / f"{case['name']}.out").read_text(encoding="utf-8")
 
 
+def test_output_files_match_the_manifest():
+    # an .out file that no case of cases.json produces is a stale recording
+    stems = sorted(p.name[:-len(".out")] for p in GOLDEN.glob("*.out"))
+    assert stems == sorted(c["name"] for c in CASES)
+
+
 def test_resolve_block_with_ladder_atoms_matches_golden():
     expr = resolve_block(Quad(CuspidalLabel("rho"), 6, 0, 1))
     text = str(expr)

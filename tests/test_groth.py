@@ -33,7 +33,7 @@ def atom(s, e, rho=R):
 
 
 def word(*atoms):
-    return GrothExpr.word(tuple(atoms))
+    return GrothExpr([(atoms, 1)])
 
 
 def combine(*scaled):
@@ -61,7 +61,7 @@ class TestInduce:
         assert total_size(w) == 3
 
     def test_empty_product_is_unit(self):
-        assert induce([]) == GrothExpr.word(())
+        assert induce([]) == GrothExpr([((), 1)])
 
 
 class TestCanonicalWords:
@@ -289,6 +289,32 @@ class TestCommute:
             assert len(calls) == max(k - 1, 0)
 
 
+class TestConstructorCanonicalizes:
+    """GrothExpr canonicalizes every word it is given, so the words of one
+    commutation class, in whatever order the caller wrote them, are one
+    term."""
+
+    def test_commuting_pair_cancels(self):
+        x, y = Ladder(R, ((10, 10),)), Ladder(R, ((0, 0),))  # [5..5] and [0..0]
+        e = GrothExpr([((x, y), 1), ((y, x), -1)])
+        assert e.is_zero
+        assert str(e) == "0"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_ladders(), max_size=10), st.integers(0, 2**32))
+    def test_shuffled_commuting_atoms_give_an_equal_expression(self, atoms, seed):
+        # a random word of the class: repeatedly take any atom that no atom
+        # still before it is linked to (linkage read from the JSON points)
+        rng, rest, shuffled = random.Random(seed), list(atoms), []
+        while rest:
+            pts = [_points(a.to_json()) for a in rest]
+            free = [i for i in range(len(rest))
+                    if not any(_linked(pts[j], pts[i]) for j in range(i))]
+            shuffled.append(rest.pop(rng.choice(free)))
+        assert GrothExpr([(tuple(shuffled), 2)]) == GrothExpr([(tuple(atoms), 2)])
+        assert GrothExpr([(tuple(shuffled), 1), (tuple(atoms), -1)]).is_zero
+
+
 # three labels named rho that differ in d, or in eta and chi
 _SHARED_NAME = (CuspidalLabel("rho"), CuspidalLabel("rho", 2), CuspidalLabel("rho", 1, 1, -1))
 
@@ -412,7 +438,7 @@ class TestJacquet:
         assert jac_left(R, hi(1), word(atom(2, 0))).is_zero
 
     def test_atom_vanishes_to_empty_word(self):
-        assert jac_left(R, hi(0), word(atom(0, 0))) == GrothExpr.word(())
+        assert jac_left(R, hi(0), word(atom(0, 0))) == GrothExpr([((), 1)])
 
     def test_worked_guide_example(self):
         st4, sp2 = atom("3/2", "-3/2"), atom("-1/2", "1/2")
@@ -426,7 +452,7 @@ class TestJacquet:
     def test_theta_seq_applies_in_order(self):
         e = word(atom("3/2", "-3/2"))
         got = jac_theta_seq([(R, hi("3/2")), (R, hi("1/2"))], e)
-        assert got == GrothExpr.word(())
+        assert got == GrothExpr([((), 1)])
         assert jac_theta_seq([(R, hi("1/2")), (R, hi("3/2"))], e).is_zero
 
     def test_theta_on_zero(self):

@@ -12,7 +12,7 @@ from multiseg import (CuspidalLabel, GrothExpr, JordanBlock,
                       to_quad, total_size, trunc_ladder, verify_cancellation)
 from multiseg import cli, groth, parse_parameter_file, resolve
 from multiseg.core import _half_str, _twice
-from multiseg.groth import canonical_expr, commutative_image
+from multiseg.groth import commutative_image
 from multiseg.params import _quad_sort_key, dominate, from_quad
 
 import conftest
@@ -121,7 +121,7 @@ class TestResolveParam:
     def test_elementary_base_case(self):
         psi = Parameter([JordanBlock(R, 3, 1), JordanBlock(R, 1, 6)])
         res = resolve_param(psi)
-        assert res.expr == GrothExpr.word(distinguished_word(psi))
+        assert res.expr == GrothExpr([(distinguished_word(psi), 1)])
         assert list(res.expr.terms.values()) == [1]
 
     def test_single_block_2_2(self):
@@ -158,7 +158,7 @@ class TestResolveGeneral:
         st2_sp2 = (atom("1/2", "-1/2"), atom("-1/2", "1/2"))
         assert res.expr.terms.get(tuple(st2_sp2)) == 1
         # here the pipeline collapses to the single distinguished term
-        assert res.expr == GrothExpr.word(st2_sp2)
+        assert res.expr == GrothExpr([(st2_sp2, 1)])
         assert degree_conserved(res)
 
     def test_discrete_diagonal_passthrough(self):
@@ -302,18 +302,18 @@ def _reference_expand(q, rest, sub):
     list.  Kept as the reference for resolve._expand, so it takes and
     returns terms dicts as _expand does."""
     rho, A, B, z = q.rho, q.A, q.B, q.zeta
-    middle = canonical_expr(sub(rest + ((Quad(rho, A, B + 4, z),) if A >= B + 4 else ())))
+    middle = GrothExpr(sub(rest + ((Quad(rho, A, B + 4, z),) if A >= B + 4 else ())).items())
     pairs = []
     for C in range(B + 2, A + 1, 2):
         if C >= B + 4:
             middle = reference_jac_theta(rho, C * z, middle)
-        left = GrothExpr.word((Ladder(rho, ((B * z, -C * z),)),))
-        right = GrothExpr.word((Ladder(rho, ((C * z, -B * z),)),))
+        left = GrothExpr([((Ladder(rho, ((B * z, -C * z),)),), 1)])
+        right = GrothExpr([((Ladder(rho, ((C * z, -B * z),)),), 1)])
         sign = (-1) ** ((A - C) // 2)
         pairs += [(w, sign * c) for w, c in induce([left, middle, right]).terms.items()]
     closing = sub(rest + (Quad(rho, A, B + 2, z), Quad(rho, B, B, z)))
     sign = (-1) ** (((A - B) // 2 + 1) // 2)
-    pairs += [(w, sign * c) for w, c in canonical_expr(closing).terms.items()]
+    pairs += [(w, sign * c) for w, c in GrothExpr(closing.items()).terms.items()]
     return GrothExpr(pairs).terms
 
 
