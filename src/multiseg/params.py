@@ -145,65 +145,59 @@ def is_discrete(psi: Parameter) -> bool:
     return len(set(psi.blocks)) == len(psi.blocks)
 
 
-def _disjoint(i1: tuple[int, int], i2: tuple[int, int]) -> bool:
-    return i1[1] < i2[0] or i2[1] < i1[0]
-
-
-def is_discrete_diagonal(psi: Parameter) -> bool:
-    """True iff all same-label, same-integrality [B,A] intervals are pairwise disjoint."""
-    fams: dict[tuple, list[tuple[int, int]]] = {}
-    for q in psi.quads():
-        fams.setdefault((q.rho.key, q.B % 2), []).append((q.B, q.A))
-    for ivs in fams.values():
-        ivs.sort()
-        for i1, i2 in zip(ivs, ivs[1:]):
-            if not _disjoint(i1, i2):
-                return False
-    return True
-
-
-def dominate(psi: Parameter, rule: str = "minimal"):
-    """Discrete-diagonal dominating parameter plus the ordered peel list E.
-
-    Per label the blocks are processed in increasing order; each block keeps
-    its zeta and A-B and gets a new base point Bt >= B so that the shifted
-    intervals [Bt, Bt+A-B] are pairwise disjoint within the family.
+def _bases(psi: Parameter, rule: str = "minimal"):
+    """Walk the quads in `_quad_sort_key` order, yielding (q, Bt): the new base
+    point Bt >= B that keeps q's zeta and A-B and makes the shifted intervals
+    [Bt, Bt+A-B] of each family (label, parity of B) pairwise disjoint.
 
     rule="minimal": keep Bt=B when possible, else the least admissible shift.
     rule="staircase": shift every block well above the previously used region
     (a second valid domination, used to test choice-independence).
 
-    E lists, per label in increasing block order, the peel points: for D
-    running down from Bt to B+1, the ordered elements of [zeta*D,
-    zeta*(D+A-B)].  Returns (psi_tilde, E) with E a tuple of (label, t), each
-    point t doubled.
+    Each family keeps only its running top end, because every new interval
+    ends above it.  Within a family the quads come in increasing A, and
+    B <= top holds exactly when [B, A] meets a placed interval: the interval
+    holding the top starts at or below A, since either it was not shifted
+    (its A' <= A) or it was shifted to just above an earlier top that is >= A,
+    and by induction that earlier top's interval meets [B, A].
     """
     if rule not in ("minimal", "staircase"):
         raise ValueError(f"unknown domination rule {rule!r}")
+    tops: dict[tuple, int] = {}
+    for q in sorted(psi.quads(), key=_quad_sort_key):
+        fam = (q.rho.key, q.B % 2)
+        top = tops.get(fam)
+        if rule == "staircase":
+            bt = max(q.B, (q.B - 2 if top is None else top) + 8)
+        else:
+            bt = q.B if top is None or q.B > top else top + 2
+        tops[fam] = bt + q.A - q.B
+        yield q, bt
+
+
+def is_discrete_diagonal(psi: Parameter) -> bool:
+    """True iff all same-label, same-integrality [B,A] intervals are pairwise
+    disjoint, that is iff minimal domination shifts no block."""
+    return all(bt == q.B for q, bt in _bases(psi))
+
+
+def dominate(psi: Parameter, rule: str = "minimal"):
+    """Discrete-diagonal dominating parameter plus the ordered peel list E.
+
+    The blocks, per label in increasing order, get the base points of
+    `_bases` under `rule` ("minimal" or "staircase").  E lists, in the same
+    order, the peel points: for D running down from Bt to B+1, the ordered
+    elements of [zeta*D, zeta*(D+A-B)].  Returns (psi_tilde, E) with E a
+    tuple of (label, t), each point t doubled.
+    """
     new_blocks = []
     peel: list[tuple[CuspidalLabel, int]] = []
-    by_rho: dict[tuple, list[Quad]] = {}
-    for q in psi.quads():
-        by_rho.setdefault(q.rho.key, []).append(q)
-    for key in sorted(by_rho):
-        quads = sorted(by_rho[key], key=_quad_sort_key)
-        # in one family every base point is = B mod 2 and every width is even
-        used: dict[int, list[tuple[int, int]]] = {0: [], 1: []}
-        for q in quads:
-            fam = q.B % 2
-            width = q.A - q.B
-            cand = q.B
-            if rule == "staircase":
-                top = max((e for _, e in used[fam]), default=q.B - 2)
-                cand = max(cand, top + 8)
-            if any(not _disjoint((cand, cand + width), iv) for iv in used[fam]):
-                top = max(e for _, e in used[fam])
-                cand = top + 2
-            used[fam].append((cand, cand + width))
-            new_blocks.append(from_quad(Quad(q.rho, cand + width, cand, q.zeta)))
-            for d in range(cand, q.B, -2):
-                for k in range(0, width + 1, 2):
-                    peel.append((q.rho, (d + k) * q.zeta))
+    for q, bt in _bases(psi, rule):
+        width = q.A - q.B
+        new_blocks.append(from_quad(Quad(q.rho, bt + width, bt, q.zeta)))
+        for d in range(bt, q.B, -2):
+            for k in range(0, width + 1, 2):
+                peel.append((q.rho, (d + k) * q.zeta))
     return Parameter(new_blocks), tuple(peel)
 
 

@@ -2,6 +2,9 @@
 
 All pair sets range over ordered pairs of distinct block instances of a
 parameter (instances are addressed by index, so multiplicities count).
+Every rule reads only the two blocks of a pair, so the work walks pairs of
+distinct blocks, each weighted by its number of instance pairs: the cost
+follows the distinct blocks, except for `z_sets`, which lists the pairs.
 """
 
 from __future__ import annotations
@@ -12,9 +15,21 @@ from .core import CuspidalLabel, IdentityError
 from .params import Parameter, _j_le_d, imp_variants, is_elementary, to_quad
 
 
+def _class_pairs(psi: Parameter):
+    """Every ordered pair of same-label block classes (equal blocks form one
+    class), as (b1, b2, idx1, idx2, n): the two blocks, the instance indices
+    of each, and n, the number of ordered pairs of distinct instances they
+    stand for (m1*m2, or m1*(m1-1) for a class paired with itself)."""
+    classes: dict = {}
+    for i, b in enumerate(psi.blocks):
+        classes.setdefault(b, []).append(i)
+    for b1, idx1 in classes.items():
+        for b2, idx2 in classes.items():
+            if b1.rho == b2.rho:
+                yield b1, b2, idx1, idx2, len(idx1) * (len(idx2) - (idx1 is idx2))
+
+
 def _gate(b1, b2) -> bool:
-    if b1.rho != b2.rho:
-        return False
     return (
         max(b1.a, b2.a) % 2 == 0
         and min(b1.a, b2.a) % 2 == 1
@@ -24,28 +39,28 @@ def _gate(b1, b2) -> bool:
 
 
 def z_sets(psi: Parameter):
-    """(Z, Z_W, Z_U): ordered (i, j) index pairs of distinct instances passing
-    the parity gate, split by the quadruple-form conditions."""
-    blocks = psi.blocks
+    """(Z, Z_W, Z_U): sorted ordered (i, j) index pairs of distinct instances
+    passing the parity gate, split by the quadruple-form conditions."""
     Z, ZW, ZU = [], [], []
-    for i, b1 in enumerate(blocks):
-        for j, b2 in enumerate(blocks):
-            if i == j or not _gate(b1, b2):
-                continue
-            q1, q2 = to_quad(b1), to_quad(b2)
-            s = q1.B * q1.zeta + q2.B * q2.zeta
-            if s < 0:
-                which = "W"
-            elif s > 0:
-                which = "U"
-            elif q1.B == 0 and q2.B == 0:
-                which = "U"
-            else:
-                # s = 0 with B = B' != 0 forces zeta*zeta' = -1
-                which = "W" if (q1.A - q2.A) * q1.zeta < 0 else "U"
-            Z.append((i, j))
-            (ZW if which == "W" else ZU).append((i, j))
-    return tuple(Z), tuple(ZW), tuple(ZU)
+    for b1, b2, idx1, idx2, _ in _class_pairs(psi):
+        if not _gate(b1, b2):
+            continue
+        q1, q2 = to_quad(b1), to_quad(b2)
+        s = q1.B * q1.zeta + q2.B * q2.zeta
+        if s < 0:
+            which = "W"
+        elif s > 0:
+            which = "U"
+        elif q1.B == 0:  # s = 0 forces B' = 0 too
+            which = "U"
+        else:
+            # s = 0 with B = B' != 0 forces zeta*zeta' = -1
+            which = "W" if (q1.A - q2.A) * q1.zeta < 0 else "U"
+        # the gate needs a != a', so the classes differ and no (i, i) arises
+        pairs = [(i, j) for i in idx1 for j in idx2]
+        Z += pairs
+        (ZW if which == "W" else ZU).extend(pairs)
+    return tuple(sorted(Z)), tuple(sorted(ZW)), tuple(sorted(ZU))
 
 
 def _pair_set(psi: Parameter, which: str):
@@ -83,15 +98,10 @@ def eval_at_c2(chi: tuple[int, ...], psi: Parameter) -> int:
 
 def a_sign(psi: Parameter) -> int:
     """Sign with exponent sum of inf(a,a')inf(b,b') over unordered same-label
-    pairs of distinct instances."""
-    blocks = psi.blocks
-    total = 0
-    for i, b1 in enumerate(blocks):
-        for j, b2 in enumerate(blocks):
-            if j <= i or b1.rho != b2.rho:
-                continue
-            total += min(b1.a, b2.a) * min(b1.b, b2.b)
-    return 1 if total % 2 == 0 else -1
+    pairs of distinct instances (half the sum over ordered pairs)."""
+    total = sum(n * min(b1.a, b2.a) * min(b1.b, b2.b)
+                for b1, b2, _, _, n in _class_pairs(psi))
+    return 1 if (total // 2) % 2 == 0 else -1
 
 
 def theta_ratio_WU(psi: Parameter) -> dict:
@@ -101,16 +111,11 @@ def theta_ratio_WU(psi: Parameter) -> dict:
     a_chain: a(psi) a(psi1) a(psi2) a(psi_ii), pairs counted unordered;
     zW_zU:   z_W(psi) * z_U(psi).  The exported ratio is zW_zU.
     """
-    blocks = psi.blocks
-    twice = 0
-    for i, b1 in enumerate(blocks):
-        for j, b2 in enumerate(blocks):
-            if i == j or b1.rho != b2.rho:
-                continue
-            twice += (
-                min(b1.a, b2.a) * (1 + max(b1.a, b2.a))
-                * min(b1.b, b2.b) * (1 + max(b1.b, b2.b))
-            )
+    twice = sum(
+        n * min(b1.a, b2.a) * (1 + max(b1.a, b2.a))
+        * min(b1.b, b2.b) * (1 + max(b1.b, b2.b))
+        for b1, b2, _, _, n in _class_pairs(psi)
+    )
     if twice % 2:
         raise IdentityError(f"half-sum exponent {twice}/2 is not an integer")
     half_sum = 1 if (twice // 2) % 2 == 0 else -1

@@ -10,7 +10,7 @@ from multiseg import (CuspidalLabel, JordanBlock, Parameter, Quad,
                       reducibility_point, to_quad)
 
 from multiseg.core import _half_str, _twice
-from multiseg.params import _disjoint, _quad_sort_key
+from multiseg.params import _quad_sort_key
 
 from conftest import random_parameter
 
@@ -269,6 +269,10 @@ class TestReducibilityPoint:
             reducibility_point(Parameter([JordanBlock(ONE_GL1, 2, 2)]), ONE_GL1)
 
 
+def _disjoint(i1, i2):
+    return i1[1] < i2[0] or i2[1] < i1[0]
+
+
 def _reference_dominate(psi, rule="minimal"):
     """dominate with the coset correction written out on both shifts; kept
     as the reference for the shifts without it."""
@@ -298,6 +302,18 @@ def _reference_dominate(psi, rule="minimal"):
                 for k in range(0, width + 1, 2):
                     peel.append((q.rho, (d + k) * q.zeta))
     return Parameter(new_blocks), tuple(peel)
+
+
+def _reference_is_discrete_diagonal(psi):
+    """Every family's [B, A] intervals sorted, then adjacent ones compared."""
+    fams = {}
+    for q in psi.quads():
+        fams.setdefault((q.rho.key, q.B % 2), []).append((q.B, q.A))
+    for ivs in fams.values():
+        ivs.sort()
+        if any(not _disjoint(i1, i2) for i1, i2 in zip(ivs, ivs[1:])):
+            return False
+    return True
 
 
 def _reference_psi_sharp(psi, rho, d):
@@ -331,6 +347,18 @@ class TestDominationOracle:
                 assert dominate(psi, rule) == _reference_dominate(psi, rule), (str(psi), rule)
             seen += 1
         assert seen == 968 + 560
+
+    def test_discrete_diagonal_matches_reference_and_empty_peel(self):
+        rng = random.Random(8)
+        corpus = list(_oracle_corpus())
+        corpus += [random_parameter(rng, [R, S], max_blocks=6) for _ in range(300)]
+        flags = set()
+        for psi in corpus:
+            dd = is_discrete_diagonal(psi)
+            assert dd == _reference_is_discrete_diagonal(psi), str(psi)
+            assert dd == (dominate(psi)[1] == ()), str(psi)
+            flags.add(dd)
+        assert flags == {True, False}
 
     def test_psi_sharp_matches_reference(self):
         seen = 0
