@@ -10,10 +10,10 @@ Each mutant changes one node of the module's syntax tree:
 - + swapped with -;
 - an int constant raised by one.
 
-The committed tree of `--rev` (default HEAD) is unpacked with `git archive`
-into a temporary directory, and only that copy is ever rewritten.  Each
-mutant runs `pytest -x` over the golden tests and the given test files with
-`src` on the path; a nonzero exit or the per-mutant timeout kills it.  The
+The committed tree of HEAD is unpacked with `git archive` into a temporary
+directory, and only that copy is ever rewritten.  Each mutant runs
+`pytest -x` over the golden tests and the given test files with `src` on
+the path; a nonzero exit or running past TIMEOUT seconds kills it.  The
 printed survivors are the lines to read: each one needs a test that fails
 on it, or a reason why it cannot change any result.
 
@@ -41,6 +41,7 @@ FLIP = {
 }
 SWAP = {ast.Add: ast.Sub, ast.Sub: ast.Add}
 MEMORY_LIMIT = 2 << 30  # bytes of address space per test run
+TIMEOUT = 300  # seconds per test run before the mutant counts as killed
 
 
 def _sites(tree: ast.Module, only: set[str] | None):
@@ -81,14 +82,14 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
-def _run_tests(root: str, tests: list[str], timeout: float) -> bool:
+def _run_tests(root: str, tests: list[str]) -> bool:
     """True when the tests pass (the mutant survives)."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "tests/test_golden.py", *tests]
     try:
         proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True,
-                              timeout=timeout, preexec_fn=_limit_memory)
+                              timeout=TIMEOUT, preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return False
     return proc.returncode == 0
@@ -99,17 +100,14 @@ def main(argv=None) -> int:
     ap.add_argument("module", help="module path relative to the repo root")
     ap.add_argument("tests", nargs="*", help="the module's own test files")
     ap.add_argument("--only", help="comma-separated top-level function names")
-    ap.add_argument("--rev", default="HEAD", help="git revision to copy")
-    ap.add_argument("--timeout", type=float, default=300.0,
-                    help="seconds per mutant before it counts as killed")
     args = ap.parse_args(argv)
     only = set(args.only.split(",")) if args.only else None
 
-    archive = subprocess.run(["git", "archive", "--format=tar", args.rev],
+    archive = subprocess.run(["git", "archive", "--format=tar", "HEAD"],
                              capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory(prefix="mutate-") as root:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(root, filter="data")
+            tar.extractall(root)  # the repository's own archive
         path = os.path.join(root, args.module)
         with open(path, encoding="utf-8") as f:
             source = f.read()
@@ -121,7 +119,7 @@ def main(argv=None) -> int:
 
         # the unparsed, unmutated module must pass, or no result means anything
         install(ast.unparse(ast.parse(source)))
-        if not _run_tests(root, args.tests, args.timeout):
+        if not _run_tests(root, args.tests):
             print("the unmutated module fails its tests; nothing swept")
             return 2
         survivors = 0
@@ -129,7 +127,7 @@ def main(argv=None) -> int:
         for n in range(total):
             text, label = _mutant_source(source, only, n)
             install(text)
-            if _run_tests(root, args.tests, args.timeout):
+            if _run_tests(root, args.tests):
                 survivors += 1
                 print(f"SURVIVED {args.module} {label}", flush=True)
         print(f"{total} mutants, {total - survivors} killed, {survivors} survived"
